@@ -1269,21 +1269,13 @@ let serve_cmd =
             "Shard name carried on heartbeats — must match the address the gateway was \
              configured with for this shard; defaults to the bound address.")
   in
-  let no_lanes_arg =
-    Arg.(
-      value & flag
-      & info [ "no-lanes" ]
-          ~doc:
-            "Use the legacy single-queue engine instead of fair admission + \
-             work-stealing lanes (the benchmark baseline).")
-  in
   let split_threshold_arg =
     Arg.(
       value & opt int 16
       & info [ "split-threshold" ] ~docv:"SCALE"
           ~doc:
-            "Split jobs whose scale exceeds $(docv) into stealable parts (lanes \
-             engine only); 0 disables splitting.")
+            "Split jobs whose scale exceeds $(docv) into stealable parts; 0 \
+             disables splitting.")
   in
   let tenant_quota_arg =
     Arg.(
@@ -1312,7 +1304,7 @@ let serve_cmd =
              before shedding, recovering hysteretically.")
   in
   let run socket listen workers queue default_deadline_ms pass_budget_ms chaos_slow_ms
-      retries heartbeat heartbeat_period_ms advertise no_lanes split_threshold
+      retries heartbeat heartbeat_period_ms advertise split_threshold
       tenant_quota batch_share brownout trace_out jsonl =
     if workers <= 0 || queue <= 0 then begin
       Printf.eprintf "serve: --workers and --queue must be positive\n";
@@ -1330,10 +1322,7 @@ let serve_cmd =
           ?pass_budget_s:(Option.map (fun ms -> ms /. 1000.0) pass_budget_ms)
           ?chaos_slow_ms ?retry ?heartbeat
           ~heartbeat_period_s:(heartbeat_period_ms /. 1000.0)
-          ?advertise
-          ~engine:
-            (if no_lanes then Cs_svc.Server.Single_queue else Cs_svc.Server.Lanes)
-          ~split_threshold ~tenant_quota ~batch_share
+          ?advertise ~split_threshold ~tenant_quota ~batch_share
           ?brownout:(if brownout then Some Cs_svc.Brownout.default else None)
           (Cs_svc.Transport.to_string addr)
       with Invalid_argument msg ->
@@ -1364,7 +1353,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ listen_arg $ workers_arg $ queue_arg $ default_deadline_arg
       $ pass_budget_arg $ chaos_slow_arg $ retries_arg $ heartbeat_arg
-      $ heartbeat_period_arg $ advertise_arg $ no_lanes_arg $ split_threshold_arg
+      $ heartbeat_period_arg $ advertise_arg $ split_threshold_arg
       $ tenant_quota_arg $ batch_share_arg $ brownout_flag_arg $ trace_out_arg
       $ jsonl_arg)
 

@@ -17,44 +17,35 @@ type config = {
   shard_timeout_s : float;
   journal_dir : string option;
   recover : bool;
-  shed_watermark : float;
-  journal_lag_limit : int;
-  breaker : Breaker.settings;
-  warmup_s : float;
-  warm_entries : int;
 }
 
 let config ?(policy = Policy.Hash) ?(cache_capacity = 256) ?(vnodes = 64)
     ?(forwarders = 4) ?(queue_capacity = 64) ?(probe_period_s = 1.0)
     ?(fail_threshold = 3) ?(shard_timeout_s = 30.0) ?journal_dir
-    ?(recover = false) ?(shed_watermark = 0.85) ?(journal_lag_limit = 512)
-    ?(breaker = Breaker.default_settings) ?(warmup_s = 5.0)
-    ?(warm_entries = 16) ~shards listen =
+    ?(recover = false) ~shards listen =
   if shards = [] then invalid_arg "Gateway.config: at least one shard required";
   if forwarders <= 0 then invalid_arg "Gateway.config: forwarders must be positive";
-  if not (shed_watermark > 0.0 && shed_watermark <= 1.0) then
-    invalid_arg "Gateway.config: shed_watermark must be in (0..1]";
   { listen_addr = Transport.parse_exn listen;
     shards = List.map Transport.parse_exn shards;
     policy; cache_capacity; vnodes; forwarders; queue_capacity; probe_period_s;
-    fail_threshold; shard_timeout_s; journal_dir; recover; shed_watermark;
-    journal_lag_limit; breaker; warmup_s; warm_entries }
+    fail_threshold; shard_timeout_s; journal_dir; recover }
 
-(* One backend shard and the load signals gossiped back from it. *)
+(* Adaptive admission: shed once the queue depth reaches this fraction
+   of its capacity, scaled by the alive fraction of the fleet; and shed
+   while this many journaled jobs are unanswered. *)
+let shed_watermark = 0.85
+let journal_lag_limit = 512
+
+(* One backend shard and the load signals gossiped back from it. Its
+   liveness lives in the gateway's {!Shard} table. *)
 type shard = {
   sname : string;
   saddr : Transport.addr;
   depth : int Atomic.t;  (* last gossiped admission-queue depth *)
   ewma_bits : int64 Atomic.t;  (* Int64 bits of the service-time EWMA, ms *)
-  last_hb_bits : int64 Atomic.t;  (* Clock.now of the last push heartbeat *)
   needs_warm : bool Atomic.t;
-      (* set on a health transition back to healthy; the prober performs
-         the warm-up replay and clears it *)
-  warm_start_bits : int64 Atomic.t;
-      (* Clock.now when the admission ramp started; 0 = not warming *)
+      (* set by a [Warm_up] action; the prober replays and clears it *)
 }
-
-let shard_last_hb sh = Int64.float_of_bits (Atomic.get sh.last_hb_bits)
 
 let shard_ewma sh = Int64.float_of_bits (Atomic.get sh.ewma_bits)
 
@@ -95,8 +86,7 @@ type t = {
   listen_fd : Unix.file_descr;
   bound : Transport.addr;
   ring : Ring.t;
-  health : Health.t;
-  breaker : Breaker.t;
+  liveness : Shard.t;
   cache : centry Cache.t;
   journal : Journal.t option;
   shards : shard list;
@@ -117,9 +107,7 @@ type t = {
   m_journal_pending : Metrics.gauge;
   m_admission_shed : Metrics.counter;
   m_heartbeats : Metrics.counter;
-  m_breaker_open : Metrics.gauge;
   m_warm_replays : Metrics.counter;
-  m_warming : Metrics.gauge;
   n_busy : int Atomic.t;
   last_evictions : int Atomic.t; (* Cache.stats watermark already counted *)
 }
@@ -143,11 +131,9 @@ let shard_ewma_gauge t shard =
   Metrics.gauge t.meters.Meters.registry ~labels:[ ("shard", shard) ]
     ~help:"Shard service-time EWMA (ms)" "csched_shard_ewma_ms"
 
-(* 0 = closed, 1 = half-open, 2 = open *)
-let breaker_state_gauge t shard =
+let shard_state_gauge t shard =
   Metrics.gauge t.meters.Meters.registry ~labels:[ ("shard", shard) ]
-    ~help:"Circuit-breaker state (0 closed, 1 half-open, 2 open)"
-    "csched_breaker_state"
+    ~help:"Shard liveness (0 up, 1 warming, 2 down)" "csched_shard_state"
 
 let create (cfg : config) =
   let shards =
@@ -155,9 +141,7 @@ let create (cfg : config) =
       (fun saddr ->
         { sname = Transport.to_string saddr; saddr;
           depth = Atomic.make 0; ewma_bits = Atomic.make (Int64.bits_of_float 0.0);
-          last_hb_bits = Atomic.make (Int64.bits_of_float 0.0);
-          needs_warm = Atomic.make false;
-          warm_start_bits = Atomic.make 0L })
+          needs_warm = Atomic.make false })
       cfg.shards
   in
   let names = List.map (fun s -> s.sname) shards in
@@ -166,24 +150,6 @@ let create (cfg : config) =
   Metrics.set meters.Meters.workers (float_of_int cfg.forwarders);
   let counter = Metrics.counter meters.Meters.registry in
   let gauge = Metrics.gauge meters.Meters.registry in
-  let on_transition ~shard ~to_ =
-    Metrics.incr
-      (counter ~labels:[ ("shard", shard); ("to", to_) ]
-         ~help:"Shard health-state transitions" "csched_health_transitions_total");
-    (* A shard coming back is cache-cold: flag it for the warm-up
-       replay + admission ramp. Flag only — this callback runs with the
-       health lock held, so the prober does the actual work. *)
-    if to_ = "healthy" then
-      List.iter
-        (fun sh -> if sh.sname = shard then Atomic.set sh.needs_warm true)
-        shards
-  in
-  let on_breaker_transition ~shard ~to_ =
-    Metrics.incr
-      (counter ~labels:[ ("shard", shard); ("to", to_) ]
-         ~help:"Circuit-breaker state transitions"
-         "csched_breaker_transitions_total")
-  in
   let journal =
     Option.map
       (fun dir -> Journal.open_dir ~dir ~recover:cfg.recover ())
@@ -191,10 +157,9 @@ let create (cfg : config) =
   in
   { cfg; listen_fd; bound = Transport.bound_addr listen_fd cfg.listen_addr;
     ring = Ring.make ~vnodes:cfg.vnodes names;
-    health = Health.create ~fail_threshold:cfg.fail_threshold ~on_transition names;
-    breaker =
-      Breaker.create ~settings:cfg.breaker ~on_transition:on_breaker_transition
-        names;
+    liveness =
+      Shard.create ~fail_threshold:cfg.fail_threshold
+        ~probe_period_s:cfg.probe_period_s names;
     cache = Cache.create ~capacity:cfg.cache_capacity;
     journal;
     shards;
@@ -225,41 +190,30 @@ let create (cfg : config) =
         "csched_gateway_admission_shed_total";
     m_heartbeats = counter ~help:"Push heartbeats received from shards"
         "csched_heartbeats_total";
-    m_breaker_open = gauge ~help:"Shards with a tripped circuit breaker"
-        "csched_breaker_open";
     m_warm_replays = counter
         ~help:"Cache entries replayed to re-admitted shards for warm-up"
         "csched_gateway_warm_replays_total";
-    m_warming = gauge ~help:"Shards currently inside their admission ramp"
-        "csched_gateway_warming_shards";
     n_busy = Atomic.make 0; last_evictions = Atomic.make 0 }
 
 let address t = t.bound
 let meters t = t.meters
 
-let alive_count t =
-  List.length (Health.alive t.health (List.map (fun sh -> sh.sname) t.shards))
+let shard_names t = List.map (fun sh -> sh.sname) t.shards
 
-(* Admission-ramp position for a warming shard: 0 just re-admitted,
-   1 fully ramped. Lazily clears the warming flag once the ramp
-   completes, so the hot path stays lock-free. *)
-let warm_frac t sh =
-  let bits = Atomic.get sh.warm_start_bits in
-  if bits = 0L then 1.0
-  else begin
-    let frac =
-      (Cs_obs.Clock.now () -. Int64.float_of_bits bits)
-      /. Float.max 1e-9 t.cfg.warmup_s
-    in
-    if frac >= 1.0 then begin
-      ignore (Atomic.compare_and_set sh.warm_start_bits bits 0L);
-      1.0
-    end
-    else Float.max 0.0 frac
-  end
+let shard_states t =
+  List.map (fun sh -> (sh.sname, Shard.phase t.liveness sh.sname)) t.shards
 
-let warming_count t =
-  List.length (List.filter (fun sh -> warm_frac t sh < 1.0) t.shards)
+(* Every dispatchability question below reads the one {!Shard} table. *)
+let alive_count t = List.length (Shard.alive t.liveness (shard_names t))
+
+(* The adaptive admission watermark: [shed_watermark * queue_capacity]
+   with the whole fleet alive, shrinking with the alive fraction. *)
+let admission_watermark t =
+  max 1
+    (int_of_float
+       (float_of_int t.cfg.queue_capacity *. shed_watermark
+       *. float_of_int (max 1 (alive_count t))
+       /. float_of_int (List.length t.shards)))
 
 (* Mirror live values into registry gauges so snapshots carry them. *)
 let sync_gauges t =
@@ -269,18 +223,12 @@ let sync_gauges t =
   Metrics.set t.m_cache_size (float_of_int (Cache.stats t.cache).Cache.size);
   Metrics.set t.m_journal_pending
     (float_of_int (match t.journal with Some j -> Journal.lag j | None -> 0));
-  Metrics.set t.m_breaker_open (float_of_int (Breaker.open_count t.breaker));
-  Metrics.set t.m_warming (float_of_int (warming_count t));
   List.iter
-    (fun sh ->
-      Metrics.set (shard_depth_gauge t sh.sname) (float_of_int (Atomic.get sh.depth));
-      Metrics.set (shard_ewma_gauge t sh.sname) (shard_ewma sh);
-      Metrics.set (breaker_state_gauge t sh.sname)
-        (match Breaker.state t.breaker sh.sname with
-        | Breaker.Closed -> 0.0
-        | Breaker.Half_open -> 1.0
-        | Breaker.Open -> 2.0))
-    t.shards
+    (fun (sh, (name, phase)) ->
+      Metrics.set (shard_depth_gauge t name) (float_of_int (Atomic.get sh.depth));
+      Metrics.set (shard_ewma_gauge t name) (shard_ewma sh);
+      Metrics.set (shard_state_gauge t name) (float_of_int (Shard.level phase)))
+    (List.combine t.shards (shard_states t))
 
 (* The cache counts evictions internally; fold the delta into the
    monotone registry counter exactly once even with racing forwarders. *)
@@ -311,7 +259,6 @@ type stats = {
   journal_pending : int;
   admission_shed : int;
   heartbeats : int;
-  breaker_open : int;
   warm_replays : int;
 }
 
@@ -335,11 +282,7 @@ let stats t =
     journal_pending = (match t.journal with Some j -> Journal.lag j | None -> 0);
     admission_shed = Metrics.counter_value t.m_admission_shed;
     heartbeats = Metrics.counter_value t.m_heartbeats;
-    breaker_open = Breaker.open_count t.breaker;
     warm_replays = Metrics.counter_value t.m_warm_replays }
-
-let shard_states t =
-  List.map (fun sh -> (sh.sname, Health.state t.health sh.sname)) t.shards
 
 let server_stats t =
   let s = stats t in
@@ -367,9 +310,8 @@ let server_stats t =
         ("journal_pending", float_of_int s.journal_pending);
         ("admission_shed", float_of_int s.admission_shed);
         ("heartbeats", float_of_int s.heartbeats);
-        ("breaker_open", float_of_int s.breaker_open);
         ("warm_replays", float_of_int s.warm_replays);
-        ("warming_shards", float_of_int (warming_count t)) ] }
+        ("admission_watermark", float_of_int (admission_watermark t)) ] }
 
 (* --- wire plumbing (mirrors Cs_svc.Server) ------------------------- *)
 
@@ -461,55 +403,61 @@ let forward_once t sh (r : Proto.request) =
     | Proto.Refused { kind; _ } when kind = "overloaded" -> Shard_overloaded reply
     | _ -> Answered reply)
 
-let views t names =
-  List.filter_map
+let views t =
+  List.map
     (fun sh ->
-      if List.mem sh.sname names then
-        Some
-          { Policy.name = sh.sname; queue_depth = Atomic.get sh.depth;
-            ewma_ms = shard_ewma sh }
-      else None)
+      { Policy.name = sh.sname; queue_depth = Atomic.get sh.depth; ewma_ms = shard_ewma sh })
     t.shards
 
 let shard_by_name t name = List.find (fun sh -> sh.sname = name) t.shards
 
-(* Walk the policy-ordered candidates until one answers. Transport
-   failures feed the health tracker and replay the job on the next
-   candidate; overload refusals reroute without a health penalty (the
-   shard is alive, just full). The last overload refusal is kept as the
-   answer of record in case every live shard is saturated.
+(* --- liveness ------------------------------------------------------ *)
 
-   The circuit breaker gates each attempt: an open breaker skips the
-   shard without a connection attempt, and every granted attempt —
-   including half-open probes — reports its outcome back so the breaker
-   state machine advances. Health and the breaker are complementary:
-   health evicts on consecutive transport failures, the breaker on a
-   bad failure *rate* (a shard can keep resetting the consecutive
-   counter while failing half its calls). *)
+(* Feed one event to the shard's state machine and perform the actions
+   it asks for. Only the prober's [Tick] asks for a [Probe], so probes
+   run on the prober domain; [Warm_up] just raises a flag, because the
+   replay is too slow for a forwarder or a heartbeat reader. *)
+let rec note t sh ev =
+  List.iter
+    (function
+      | Shard.Became phase ->
+        let to_ = Shard.name phase in
+        Metrics.incr
+          (Metrics.counter t.meters.Meters.registry
+             ~labels:[ ("shard", sh.sname); ("to", to_) ]
+             ~help:"Shard liveness transitions" "csched_shard_transitions_total");
+        Cs_obs.Obs.instant ~cat:"gateway"
+          ~args:[ ("shard", Cs_obs.Obs.Str sh.sname); ("to", Cs_obs.Obs.Str to_) ]
+          "shard:transition"
+      | Shard.Warm_up -> Atomic.set sh.needs_warm true
+      | Shard.Probe -> probe t sh)
+    (Shard.feed t.liveness sh.sname ev)
+
+(* A stats round trip: refreshes the queue-depth gossip between jobs
+   and reports the shard's pulse. *)
+and probe t sh =
+  let timeout_s = Float.min 2.0 (Float.max 0.2 t.cfg.probe_period_s) in
+  match Cs_svc.Client.fetch_stats ~timeout_s ~addr:sh.saddr () with
+  | Ok st ->
+    Atomic.set sh.depth st.Proto.queue_depth;
+    note t sh (Shard.Probe_result true)
+  | Error _ -> note t sh (Shard.Probe_result false)
+
+(* Walk the policy-ordered live candidates until one answers. Transport
+   failures replay the job on the next candidate; overload refusals
+   reroute (the shard is alive, just full), and the last one is kept
+   as the answer of record in case every live shard is saturated. A
+   warming shard outside its admission-ramp slice comes last. Every
+   outcome goes back to the shard's state machine. (Policies score
+   each shard on its own, so ordering the whole fleet and then
+   dropping down shards is the same as ordering the live ones.) *)
 let dispatch t (r : Proto.request) ~key =
-  let usable = Health.alive t.health (List.map (fun sh -> sh.sname) t.shards) in
   let khash = Cs_core.Scenario.fnv1a key in
   let order =
     Policy.order t.cfg.policy ~ring:t.ring ~key:khash
-      ~deadline_ms:r.Proto.deadline_ms (views t usable)
+      ~deadline_ms:r.Proto.deadline_ms (views t)
+    |> Shard.route t.liveness ~key:khash
   in
-  (* Admission ramp: a warming shard serves only a deterministic,
-     growing slice of the keyspace — demoted (not removed) for the
-     rest, so it still catches jobs no other shard can take. The slice
-     is keyed on the scenario hash, so a given scenario flips from
-     "elsewhere" to "warming shard" exactly once during the ramp. *)
-  let order =
-    let full, ramped =
-      List.partition
-        (fun name ->
-          let frac = warm_frac t (shard_by_name t name) in
-          frac >= 1.0
-          || Int64.to_int khash land 1023 < int_of_float (frac *. 1024.0))
-        order
-    in
-    full @ ramped
-  in
-  let breaker_skips = ref 0 in
   let rec walk ~replaying ~last_overload = function
     | [] ->
       (match last_overload with
@@ -518,44 +466,33 @@ let dispatch t (r : Proto.request) ~key =
         Proto.refused ~id:r.Proto.id
           (Cs_resil.Error.Overloaded
              (if order = [] then "no live shards"
-              else if !breaker_skips = List.length order then
-                "every live shard's circuit breaker is open"
               else "every live shard failed while handling the job")))
     | name :: rest ->
-      if not (Breaker.allow t.breaker name) then begin
-        incr breaker_skips;
-        walk ~replaying ~last_overload rest
-      end
-      else begin
-        let sh = shard_by_name t name in
-        if replaying then begin
-          Metrics.incr t.m_replayed;
-          Cs_obs.Obs.instant ~cat:"gateway"
-            ~args:
-              [ ("job", Cs_obs.Obs.Str r.Proto.id); ("shard", Cs_obs.Obs.Str name) ]
-            "gateway:replay"
-        end;
-        match forward_once t sh r with
-        | Answered reply ->
-          Health.note_ok t.health name;
-          Breaker.record t.breaker name ~ok:true ~elapsed_ms:reply.Proto.elapsed_ms;
-          Metrics.incr (fwd_counter t name);
-          reply
-        | Shard_overloaded reply ->
-          Health.note_ok t.health name;
-          Breaker.record t.breaker name ~ok:true ~elapsed_ms:0.0;
-          if rest <> [] then Metrics.incr t.m_rerouted;
-          walk ~replaying:false ~last_overload:(Some reply) rest
-        | Transport_failure why ->
-          Health.note_failure t.health name;
-          Breaker.record t.breaker name ~ok:false ~elapsed_ms:0.0;
-          Metrics.incr (shard_fail_counter t name);
-          Cs_obs.Obs.instant ~cat:"gateway"
-            ~args:
-              [ ("shard", Cs_obs.Obs.Str name); ("error", Cs_obs.Obs.Str why) ]
-            "gateway:shard-failure";
-          walk ~replaying:true ~last_overload rest
-      end
+      let sh = shard_by_name t name in
+      if replaying then begin
+        Metrics.incr t.m_replayed;
+        Cs_obs.Obs.instant ~cat:"gateway"
+          ~args:
+            [ ("job", Cs_obs.Obs.Str r.Proto.id); ("shard", Cs_obs.Obs.Str name) ]
+          "gateway:replay"
+      end;
+      match forward_once t sh r with
+      | Answered reply ->
+        note t sh (Shard.Reply reply.Proto.elapsed_ms);
+        Metrics.incr (fwd_counter t name);
+        reply
+      | Shard_overloaded reply ->
+        note t sh Shard.Overloaded;
+        if rest <> [] then Metrics.incr t.m_rerouted;
+        walk ~replaying:false ~last_overload:(Some reply) rest
+      | Transport_failure why ->
+        note t sh Shard.Transport_failure;
+        Metrics.incr (shard_fail_counter t name);
+        Cs_obs.Obs.instant ~cat:"gateway"
+          ~args:
+            [ ("shard", Cs_obs.Obs.Str name); ("error", Cs_obs.Obs.Str why) ]
+          "gateway:shard-failure";
+        walk ~replaying:true ~last_overload rest
   in
   walk ~replaying:false ~last_overload:None order
 
@@ -691,63 +628,39 @@ let replay_pending t =
         end)
       (Journal.pending j)
 
-(* --- health prober ------------------------------------------------- *)
+(* --- prober ---------------------------------------------------------- *)
 
-(* Periodic ping against every shard: refreshes queue-depth gossip
-   between jobs, detects silent deaths before a job trips over them, and
-   carries the probation probe that re-admits a dead shard once its
-   backoff expires. A shard whose push heartbeat arrived within the
-   last two periods is skipped — its load vector is already fresher
-   than a probe would make it, so heartbeating fleets idle without
-   polling round trips. *)
+(* Once a period, every shard gets a [Tick]: the state machine asks for
+   a probe when an up shard's heartbeat is stale, or when a down
+   shard's backoff has expired (its one probation probe). Then each
+   shard just re-admitted gets its warm-up replay: the hottest cached
+   scenarios as batch-class jobs (no deadline, no idempotency key —
+   throwaway warmers, not client traffic), while the admission ramp in
+   [dispatch] keeps most real traffic elsewhere. *)
 let prober t () =
-  let probe_timeout = Float.min 2.0 (Float.max 0.2 t.cfg.probe_period_s) in
-  let hb_fresh sh =
-    let last = shard_last_hb sh in
-    last > 0.0 && Cs_obs.Clock.now () -. last < 2.0 *. t.cfg.probe_period_s
-  in
-  let probe sh =
-    match
-      Cs_svc.Client.fetch_stats ~timeout_s:probe_timeout ~addr:sh.saddr ()
-    with
-    | Ok st ->
-      Atomic.set sh.depth st.Proto.queue_depth;
-      Health.note_ok t.health sh.sname
-    | Error _ -> Health.note_failure t.health sh.sname
-  in
-  (* Warm-up replay for a shard just re-admitted by health: start its
-     admission ramp, then feed it the hottest cached scenarios as
-     batch-class jobs (no deadline, no idempotency key — these are
-     throwaway warmers, not client traffic). Runs inline on the prober
-     domain; the ramp in [dispatch] keeps real traffic mostly elsewhere
-     while this drains. *)
   let warm sh =
-    if Atomic.exchange sh.needs_warm false then begin
-      Atomic.set sh.warm_start_bits (Int64.bits_of_float (Cs_obs.Clock.now ()));
-      let entries = Cache.export t.cache ~n:t.cfg.warm_entries in
-      Cs_obs.Obs.instant ~cat:"gateway"
-        ~args:
-          [ ("shard", Cs_obs.Obs.Str sh.sname);
-            ("entries", Cs_obs.Obs.Int (List.length entries)) ]
-        "gateway:warm-replay";
-      List.iter
-        (fun (_, e) ->
-          if not (Atomic.get t.stopping) then
-            let r =
-              { e.creq with
-                Proto.id = e.creq.Proto.id ^ "#warm";
-                deadline_ms = None;
-                idem_key = None;
-                job_class = Some "batch" }
-            in
-            match
-              Cs_svc.Client.submit ~timeout_s:t.cfg.shard_timeout_s
-                ~addr:sh.saddr [ r ]
-            with
-            | Ok _ -> Metrics.incr t.m_warm_replays
-            | Error _ -> ())
-        entries
-    end
+    let entries = Cache.export t.cache ~n:Shard.warm_entries in
+    Cs_obs.Obs.instant ~cat:"gateway"
+      ~args:
+        [ ("shard", Cs_obs.Obs.Str sh.sname);
+          ("entries", Cs_obs.Obs.Int (List.length entries)) ]
+      "gateway:warm-replay";
+    List.iter
+      (fun (_, e) ->
+        if not (Atomic.get t.stopping) then
+          let r =
+            { e.creq with
+              Proto.id = e.creq.Proto.id ^ "#warm";
+              deadline_ms = None;
+              idem_key = None;
+              job_class = Some "batch" }
+          in
+          match
+            Cs_svc.Client.submit ~timeout_s:t.cfg.shard_timeout_s ~addr:sh.saddr [ r ]
+          with
+          | Ok _ -> Metrics.incr t.m_warm_replays
+          | Error _ -> ())
+      entries
   in
   let rec sleep_ticks remaining =
     if remaining > 0.0 && not (Atomic.get t.stopping) then begin
@@ -760,12 +673,10 @@ let prober t () =
     if not (Atomic.get t.stopping) then begin
       List.iter
         (fun sh ->
-          if not (Atomic.get t.stopping) then
-            if Health.usable t.health sh.sname then begin
-              if not (hb_fresh sh) then probe sh;
-              warm sh
-            end
-            else if Health.probe_due t.health sh.sname then probe sh)
+          if not (Atomic.get t.stopping) then begin
+            note t sh Shard.Tick;
+            if Atomic.exchange sh.needs_warm false then warm sh
+          end)
         t.shards;
       sleep_ticks t.cfg.probe_period_s;
       loop ()
@@ -776,35 +687,27 @@ let prober t () =
 (* --- adaptive admission -------------------------------------------- *)
 
 (* Shed before queueing when the fleet can't plausibly absorb the
-   backlog. The watermark scales with the live fraction of the fleet:
-   with every shard up it sits at [shed_watermark * queue_capacity];
-   when shards die it drops proportionally, so the gateway starts
-   refusing early instead of letting jobs time out in its own queue.
-   Journal lag (journaled admits not yet answered) sheds for the same
-   reason on the durability axis: an unbounded pending set is a
-   recovery-time bomb. *)
+   backlog: past the {!admission_watermark}, which drops with the alive
+   fraction of the fleet, so the gateway starts refusing early instead
+   of letting jobs time out in its own queue. Journal lag (journaled
+   admits not yet answered) sheds for the same reason on the
+   durability axis: an unbounded pending set is a recovery-time
+   bomb. *)
 let admission_shed_reason t =
   let depth = Squeue.length t.queue in
-  let total = List.length t.shards in
-  let alive = alive_count t in
-  let watermark =
-    max 1
-      (int_of_float
-         (float_of_int t.cfg.queue_capacity *. t.cfg.shed_watermark
-         *. float_of_int (max 1 alive) /. float_of_int total))
-  in
+  let watermark = admission_watermark t in
   if depth >= watermark then
     Some
       (Printf.sprintf
          "gateway admission watermark: queue depth %d >= %d (%d/%d shards \
           alive)"
-         depth watermark alive total)
+         depth watermark (alive_count t) (List.length t.shards))
   else
     match t.journal with
-    | Some j when Journal.lag j >= t.cfg.journal_lag_limit ->
+    | Some j when Journal.lag j >= journal_lag_limit ->
       Some
         (Printf.sprintf "gateway journal lag %d >= %d" (Journal.lag j)
-           t.cfg.journal_lag_limit)
+           journal_lag_limit)
     | _ -> None
 
 (* --- accept loop --------------------------------------------------- *)
@@ -840,11 +743,8 @@ let serve_conn t conn =
          with
         | Some sh ->
           Atomic.set sh.depth hb.Proto.hb_depth;
-          Atomic.set sh.last_hb_bits (Int64.bits_of_float (Cs_obs.Clock.now ()));
           Metrics.incr t.m_heartbeats;
-          (* a heartbeat is proof of life: it re-admits a buried shard
-             without waiting for the prober's probation slot *)
-          Health.note_ok t.health sh.sname
+          note t sh Shard.Heartbeat
         | None ->
           (* unknown shard name: not ours to track, and no reply to
              send — heartbeats are one-way *)

@@ -10,25 +10,28 @@
       region, scheduler/pass spec and seed),
     + answers from a bounded LRU {!Cache} when the same scenario was
       already scheduled ([cached = true] on the reply, no shard hop),
-    + otherwise walks the {!Policy}-ordered candidate shards and
-      forwards over a one-shot connection; transport failure (connect
-      refused, or the shard died before replying) buries progress on
-      that shard in {!Health} and replays the job on the next candidate
-      — each client request is answered exactly once, and replay is safe
-      because scheduling is a pure, deterministic computation;
+    + otherwise walks the {!Policy}-ordered live shards and forwards
+      over a one-shot connection; transport failure (connect refused,
+      or the shard died before replying) replays the job on the next
+      candidate — each client request is answered exactly once, and
+      replay is safe because scheduling is a pure, deterministic
+      computation;
+    + feeds every outcome — replies, failures, probe results, push
+      heartbeats — to one per-shard liveness state machine ({!Shard}),
+      which alone decides whether a shard is up, warming or down;
     + feeds the load-aware policies from queue-depth gossip piggybacked
       on every shard reply, refreshed between jobs by a background
       prober that pings every shard each [probe_period_s] (the same
-      probe re-admits dead shards after their {!Health} backoff);
+      probe re-admits down shards after their backoff);
     + warms re-admitted shards instead of dropping them straight into
-      full traffic: the hottest [warm_entries] cached scenarios are
-      replayed to the shard as batch-class jobs, and for [warmup_s]
-      seconds the shard serves only a linearly growing slice of the
-      keyspace (it remains the fallback of last resort throughout).
+      full traffic: the hottest cached scenarios are replayed to the
+      shard as batch-class jobs, and for {!Shard.warmup_s} the shard
+      serves only a linearly growing slice of the keyspace (it remains
+      the fallback of last resort throughout).
 
     Control verbs ([ping] / [stats]) are answered inline by the gateway
     itself; the stats pong carries fleet-level counters (cache hits,
-    replays, live shard count) in [extra]. *)
+    replays, live shard count, admission watermark) in [extra]. *)
 
 type config = {
   listen_addr : Cs_svc.Transport.addr;
@@ -39,7 +42,7 @@ type config = {
   forwarders : int;  (** concurrent forwarding workers *)
   queue_capacity : int;  (** gateway admission queue bound *)
   probe_period_s : float;
-  fail_threshold : int;  (** consecutive failures before eviction *)
+  fail_threshold : int;  (** consecutive failures that bury a shard *)
   shard_timeout_s : float;  (** per-read timeout on shard connections *)
   journal_dir : string option;
       (** durable job journal directory; [None] = no journaling *)
@@ -47,19 +50,6 @@ type config = {
       (** load an existing journal at startup: replay unacked jobs and
           restore the dedup map. Without it an existing journal is
           discarded. *)
-  shed_watermark : float;
-      (** adaptive admission: shed when the queue depth exceeds
-          [shed_watermark * queue_capacity * alive/total] *)
-  journal_lag_limit : int;
-      (** shed when this many journaled jobs are in flight *)
-  breaker : Breaker.settings;  (** per-shard circuit breakers *)
-  warmup_s : float;
-      (** admission-ramp length for a re-admitted shard: it serves a
-          linearly growing slice of the keyspace over this many seconds
-          instead of full traffic on a cold cache *)
-  warm_entries : int;
-      (** hottest cache entries replayed (as batch-class jobs) to a
-          re-admitted shard before the ramp fills *)
 }
 
 val config :
@@ -73,20 +63,15 @@ val config :
   ?shard_timeout_s:float ->
   ?journal_dir:string ->
   ?recover:bool ->
-  ?shed_watermark:float ->
-  ?journal_lag_limit:int ->
-  ?breaker:Breaker.settings ->
-  ?warmup_s:float ->
-  ?warm_entries:int ->
   shards:string list ->
   string ->
   config
 (** [config ~shards listen]: addresses in {!Cs_svc.Transport.parse}
     grammar. Defaults: hash policy, 256-entry cache, 64 vnodes,
     4 forwarders, queue 64, 1 s probe period, threshold 3, 30 s shard
-    timeout, no journal, watermark 0.85, lag limit 512, default
-    breaker settings, 5 s warm-up ramp replaying 16 cache entries.
-    Raises [Invalid_argument] on a bad address or an empty shard
+    timeout, no journal. Admission sheds past 0.85 of the queue scaled
+    by the alive fraction of the fleet, or at 512 unanswered journaled
+    jobs. Raises [Invalid_argument] on a bad address or an empty shard
     list. *)
 
 type t
@@ -121,15 +106,14 @@ type stats = {
   journal_pending : int;  (** journaled jobs currently in flight *)
   admission_shed : int;  (** sheds by the adaptive admission watermark *)
   heartbeats : int;  (** push heartbeats received from shards *)
-  breaker_open : int;  (** shards with a tripped circuit breaker *)
   warm_replays : int;
       (** cache entries replayed to re-admitted shards for warm-up *)
 }
 
 val stats : t -> stats
 
-val shard_states : t -> (string * Health.state) list
-(** Health snapshot, in configuration order. *)
+val shard_states : t -> (string * Shard.phase) list
+(** Liveness snapshot, in configuration order. *)
 
 val server_stats : t -> Cs_svc.Proto.server_stats
 (** The stats pong the gateway answers on the wire; fleet counters ride
@@ -141,4 +125,5 @@ val meters : t -> Cs_svc.Meters.t
     per-shard [csched_gateway_forwarded_total] /
     [csched_gateway_shard_failures_total], replay/reroute counters,
     cache hit/miss/eviction counters, per-shard depth and EWMA gauges,
-    and [csched_health_transitions_total{shard,to}]. *)
+    [csched_shard_state{shard}] (0 up, 1 warming, 2 down) and
+    [csched_shard_transitions_total{shard,to}]. *)

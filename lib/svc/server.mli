@@ -16,7 +16,7 @@
     - per-job deadlines are absolute from admission; expired jobs
       refuse instead of running, live ones thread the deadline into the
       anytime driver;
-    - under the {!Lanes} engine, admitted jobs flow through per-tenant
+    - admitted jobs flow through per-tenant
       deficit-weighted round-robin queues in two priority lanes
       (interactive ahead of batch, batch guaranteed a share), workers
       run per-domain work-stealing deques, and oversized jobs split
@@ -29,13 +29,6 @@
       is answered, workers are joined, a Unix socket file is removed;
     - {!abort} simulates a crash for chaos drills: connections are
       severed without replies and queued work is discarded. *)
-
-type engine =
-  | Single_queue
-      (** the legacy core: one bounded MPMC queue feeding all workers —
-          kept selectable as the benchmark baseline *)
-  | Lanes
-      (** fair admission + per-domain work-stealing deques (default) *)
 
 type config = {
   listen_addr : Transport.addr;
@@ -53,10 +46,9 @@ type config = {
   advertise : string option;
       (** shard name carried on heartbeats — must match the address the
           gateway was configured with; defaults to the bound address *)
-  engine : engine;
   split_threshold : int;
       (** split jobs whose [scale] exceeds this into stealable parts
-          of at most this scale ({!Lanes} only); [0] disables *)
+          of at most this scale; [0] disables *)
   tenant_quota : int;
       (** max queued jobs per tenant; [<= 0] means no bound tighter
           than [queue_capacity] *)
@@ -72,12 +64,12 @@ val config :
   ?workers:int -> ?queue_capacity:int -> ?default_deadline_ms:float ->
   ?pass_budget_s:float -> ?chaos_slow_ms:float -> ?retry:Retry.policy ->
   ?heartbeat:string -> ?heartbeat_period_s:float -> ?advertise:string ->
-  ?engine:engine -> ?split_threshold:int -> ?tenant_quota:int ->
+  ?split_threshold:int -> ?tenant_quota:int ->
   ?tenant_weights:(string * int) list -> ?batch_share:int ->
   ?brownout:Brownout.settings -> string -> config
 (** [config addr] with 2 workers, a 16-job queue, no deadlines, no
     chaos, no retry, no heartbeats ([heartbeat_period_s] defaults to
-    1 s), the {!Lanes} engine, split threshold 16, no tenant quota and
+    1 s), split threshold 16, no tenant quota and
     no brownout. [addr] uses the {!Transport} grammar ([host:port] for
     TCP, otherwise a Unix socket path); raises [Invalid_argument] when
     it parses to neither. *)
@@ -124,7 +116,7 @@ val stats : t -> stats
 
 val server_stats : t -> Proto.server_stats
 (** The live counters served by the stats control verb. [extra]
-    carries the lanes-engine series: [quota_refused],
+    carries the admission and work-stealing series: [quota_refused],
     [queue_depth_peak], [steals], [splits] and (when configured)
     [brownout_level]. *)
 

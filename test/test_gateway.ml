@@ -1,14 +1,13 @@
 (* Gateway fleet tests: consistent-hash rebalance bounds, LRU cache
-   accounting, health eviction/re-admission, dispatch policies, canonical
+   accounting, the shard liveness state machine, dispatch policies, canonical
    scenario hashing (collision sweep + round-trip stability + repro
    fingerprint), and an in-process gateway + 2 shards over loopback TCP
    with a mid-batch shard kill — zero lost, zero duplicated jobs. *)
 
 module Ring = Cs_gateway.Ring
 module Cache = Cs_gateway.Cache
-module Health = Cs_gateway.Health
+module Shard = Cs_gateway.Shard
 module Policy = Cs_gateway.Policy
-module Breaker = Cs_gateway.Breaker
 module Journal = Cs_gateway.Journal
 module Gateway = Cs_gateway.Gateway
 module Proto = Cs_svc.Proto
@@ -78,121 +77,403 @@ let test_cache_lru_accounting () =
   Alcotest.(check int) "evictions" 1 s.Cache.evictions;
   Alcotest.(check int) "size" 2 s.Cache.size
 
-(* --- health -------------------------------------------------------- *)
+(* --- shard liveness state machine ---------------------------------- *)
 
-let test_health_evict_and_readmit () =
-  let backoff =
-    { Cs_svc.Retry.default with base_delay_s = 0.05; multiplier = 2.0; jitter = 0.0 }
-  in
-  let h = Health.create ~fail_threshold:2 ~backoff [ "s1"; "s2" ] in
-  Alcotest.(check bool) "starts usable" true (Health.usable h "s1");
-  Health.note_failure h "s1";
-  (match Health.state h "s1" with
-  | Health.Suspect 1 -> ()
-  | _ -> Alcotest.fail "one failure should be Suspect 1");
-  Alcotest.(check bool) "suspect still usable" true (Health.usable h "s1");
-  Health.note_failure h "s1";
-  (match Health.state h "s1" with
-  | Health.Dead _ -> ()
-  | _ -> Alcotest.fail "threshold failures should bury the shard");
-  Alcotest.(check bool) "dead not usable" false (Health.usable h "s1");
-  Alcotest.(check bool) "no probe before backoff" false (Health.probe_due h "s1");
-  Unix.sleepf 0.06;
-  Alcotest.(check bool) "probe due after backoff" true (Health.probe_due h "s1");
-  Alcotest.(check bool) "probation slot handed out once" false (Health.probe_due h "s1");
-  Health.note_failure h "s1";
-  (match Health.state h "s1" with
-  | Health.Dead { attempt = 2; _ } -> ()
-  | _ -> Alcotest.fail "failed probe should take the next backoff step");
-  Unix.sleepf 0.11;
-  Alcotest.(check bool) "second probe due" true (Health.probe_due h "s1");
-  Health.note_ok h "s1";
-  Alcotest.(check bool) "re-admitted" true (Health.usable h "s1");
-  Alcotest.(check (list string)) "alive filters" [ "s1"; "s2" ]
-    (Health.alive h [ "s1"; "s2" ]);
-  Alcotest.(check bool) "unknown shards read healthy" true (Health.usable h "s3")
+let settings = Shard.settings ~fail_threshold:3 ~probe_period_s:1.0 ()
 
-let test_health_backoff_capped () =
-  (* an aggressive multiplier would park attempt 4 at 0.05 * 8^3 =
-     25.6 s; the cap must clamp every step so a returning shard is
-     re-probed within max_delay_s no matter how deep the burial *)
-  let backoff =
-    { Cs_svc.Retry.default with
-      base_delay_s = 0.05; multiplier = 8.0; jitter = 0.0; max_attempts = 8 }
-  in
-  let cap = 0.1 in
-  let h = Health.create ~fail_threshold:1 ~backoff ~max_delay_s:cap [ "s1" ] in
-  Health.note_failure h "s1";
-  for burial = 1 to 5 do
-    (match Health.state h "s1" with
-    | Health.Dead { retry_at; attempt; _ } ->
-      Alcotest.(check int) "attempt advances" burial attempt;
-      let delay = retry_at -. Cs_obs.Clock.now () in
-      Alcotest.(check bool)
-        (Printf.sprintf "burial %d delay %.3fs within cap" burial delay)
-        true
-        (delay <= cap +. 0.02)
-    | _ -> Alcotest.fail "shard should be dead");
-    Unix.sleepf (cap +. 0.03);
+let describe_phase = function
+  | Shard.Up -> "up"
+  | Shard.Warming { attempt; _ } -> Printf.sprintf "warming %d" attempt
+  | Shard.Down { attempt; probing; _ } ->
+    Printf.sprintf "down %d%s" attempt (if probing then " probing" else "")
+
+let describe_action = function
+  | Shard.Became p -> "became " ^ Shard.name p
+  | Shard.Warm_up -> "warm-up"
+  | Shard.Probe -> "probe"
+
+let up = Shard.initial
+let up_streak n = { up with Shard.streak = n }
+let up_fresh_hb = { up with Shard.last_hb = 100.5 }
+let warming = { up with Shard.phase = Shard.Warming { since = 100.0; attempt = 2 } }
+
+let down ~probing =
+  { up with Shard.phase = Shard.Down { attempt = 2; retry_at = 100.0; probing } }
+
+let slow = Shard.Reply (Shard.slow_ms +. 1.0)
+
+(* Every state x event pair, as (row, state, now, event, next phase,
+   actions). The clock reads 101 unless a row says otherwise: past the
+   down rows' retry_at (100), one second into the warming rows' ramp. *)
+let table_rows =
+  let open Shard in
+  [ ("up: reply", up, 101.0, Reply 5.0, "up", []);
+    ("up: slow reply", up, 101.0, slow, "up", []);
+    ("up: transport failure", up, 101.0, Transport_failure, "up", []);
+    ("up: overloaded", up, 101.0, Overloaded, "up", []);
+    ("up: probe ok", up, 101.0, Probe_result true, "up", []);
+    ("up: probe failed", up, 101.0, Probe_result false, "up", []);
+    ("up: heartbeat", up, 101.0, Heartbeat, "up", []);
+    ("up: tick, no heartbeat", up, 101.0, Tick, "up", [ "probe" ]);
+    ("up: tick, fresh heartbeat", up_fresh_hb, 101.0, Tick, "up", []);
+    ("up: tick, stale heartbeat", up_fresh_hb, 103.0, Tick, "up", [ "probe" ]);
+    ("up@2: reply resets", up_streak 2, 101.0, Reply 5.0, "up", []);
+    ("up@2: slow reply trips", up_streak 2, 101.0, slow, "down 1", [ "became down" ]);
+    ("up@2: transport failure trips", up_streak 2, 101.0, Transport_failure, "down 1",
+     [ "became down" ]);
+    ("up@2: overloaded neutral", up_streak 2, 101.0, Overloaded, "up", []);
+    ("up@2: failed probe trips", up_streak 2, 101.0, Probe_result false, "down 1",
+     [ "became down" ]);
+    ("up@2: heartbeat resets", up_streak 2, 101.0, Heartbeat, "up", []);
+    ("warming: reply", warming, 101.0, Reply 5.0, "warming 2", []);
+    ("warming: slow reply", warming, 101.0, slow, "down 3", [ "became down" ]);
+    ("warming: transport failure", warming, 101.0, Transport_failure, "down 3",
+     [ "became down" ]);
+    ("warming: overloaded", warming, 101.0, Overloaded, "warming 2", []);
+    ("warming: probe ok", warming, 101.0, Probe_result true, "warming 2", []);
+    ("warming: probe failed", warming, 101.0, Probe_result false, "down 3",
+     [ "became down" ]);
+    ("warming: heartbeat", warming, 101.0, Heartbeat, "warming 2", []);
+    ("warming: tick", warming, 101.0, Tick, "warming 2", [ "probe" ]);
+    ("warming: ramp over", warming, 100.0 +. warmup_s, Tick, "up",
+     [ "became up"; "probe" ]);
+    ("down: reply", down ~probing:false, 101.0, Reply 5.0, "down 2", []);
+    ("down: slow reply", down ~probing:false, 101.0, slow, "down 2", []);
+    ("down: transport failure", down ~probing:false, 101.0, Transport_failure,
+     "down 2", []);
+    ("down: overloaded", down ~probing:false, 101.0, Overloaded, "down 2", []);
+    ("down: stale probe ok", down ~probing:false, 101.0, Probe_result true, "down 2",
+     []);
+    ("down: stale probe failed", down ~probing:false, 101.0, Probe_result false,
+     "down 2", []);
+    ("down: heartbeat in backoff", down ~probing:false, 99.0, Heartbeat, "down 2", []);
+    ("down: heartbeat after backoff", down ~probing:false, 101.0, Heartbeat,
+     "warming 2", [ "became warming"; "warm-up" ]);
+    ("down: tick in backoff", down ~probing:false, 99.0, Tick, "down 2", []);
+    ("down: tick after backoff", down ~probing:false, 101.0, Tick, "down 2 probing",
+     [ "probe" ]);
+    ("probing: tick", down ~probing:true, 101.0, Tick, "down 2 probing", []);
+    ("probing: probe ok", down ~probing:true, 101.0, Probe_result true, "warming 2",
+     [ "became warming"; "warm-up" ]);
+    ("probing: probe failed", down ~probing:true, 101.0, Probe_result false,
+     "down 3", [ "became down" ]);
+    ("probing: reply", down ~probing:true, 101.0, Reply 5.0, "down 2 probing", []);
+    ("probing: transport failure", down ~probing:true, 101.0, Transport_failure,
+     "down 2 probing", []);
+    ("probing: overloaded", down ~probing:true, 101.0, Overloaded, "down 2 probing",
+     []);
+    ("probing: heartbeat", down ~probing:true, 101.0, Heartbeat, "warming 2",
+     [ "became warming"; "warm-up" ]) ]
+
+let test_shard_transition_table () =
+  List.iter
+    (fun (row, st, now, ev, next, actions) ->
+      let st', acts = Shard.step settings ~now st ev in
+      Alcotest.(check string) (row ^ ": next state") next (describe_phase st'.Shard.phase);
+      Alcotest.(check (list string)) (row ^ ": actions") actions
+        (List.map describe_action acts))
+    table_rows
+
+(* A shard table on a fake clock. *)
+let fake_clock () =
+  let now = ref 1000.0 in
+  (now, fun () -> !now)
+
+let phase_of t name = describe_phase (Shard.phase t name)
+let actions_of acts = List.map describe_action acts
+
+let retry_at t name =
+  match Shard.phase t name with
+  | Shard.Down { retry_at; _ } -> retry_at
+  | p -> Alcotest.failf "%s should be down, is %s" name (describe_phase p)
+
+let test_shard_evict_and_readmit () =
+  let now, clock = fake_clock () in
+  let t = Shard.create ~clock ~fail_threshold:2 [ "s1"; "s2" ] in
+  ignore (Shard.feed t "s1" Shard.Transport_failure);
+  Alcotest.(check string) "one failure: still up" "up" (phase_of t "s1");
+  Alcotest.(check (list string)) "suspect still alive" [ "s1"; "s2" ]
+    (Shard.alive t [ "s1"; "s2" ]);
+  Alcotest.(check (list string)) "threshold evicts" [ "became down" ]
+    (actions_of (Shard.feed t "s1" Shard.Transport_failure));
+  Alcotest.(check (list string)) "down not alive" [ "s2" ] (Shard.alive t [ "s1"; "s2" ]);
+  Alcotest.(check (list string)) "no probe before backoff" []
+    (actions_of (Shard.feed t "s1" Shard.Tick));
+  now := retry_at t "s1";
+  Alcotest.(check (list string)) "probe due after backoff" [ "probe" ]
+    (actions_of (Shard.feed t "s1" Shard.Tick));
+  Alcotest.(check (list string)) "probation slot handed out once" []
+    (actions_of (Shard.feed t "s1" Shard.Tick));
+  ignore (Shard.feed t "s1" (Shard.Probe_result false));
+  Alcotest.(check string) "failed probe takes the next step" "down 2" (phase_of t "s1");
+  Alcotest.(check (float 1e-9)) "second step of the schedule"
+    (!now +. Shard.delay settings 2) (retry_at t "s1");
+  now := retry_at t "s1";
+  Alcotest.(check (list string)) "second probe due" [ "probe" ]
+    (actions_of (Shard.feed t "s1" Shard.Tick));
+  Alcotest.(check (list string)) "good probe re-admits, warming up"
+    [ "became warming"; "warm-up" ]
+    (actions_of (Shard.feed t "s1" (Shard.Probe_result true)));
+  Alcotest.(check (list string)) "re-admitted" [ "s1"; "s2" ] (Shard.alive t [ "s1"; "s2" ]);
+  Alcotest.(check string) "unknown shards read up" "up" (phase_of t "s3")
+
+let test_shard_backoff_capped () =
+  let now, clock = fake_clock () in
+  let t = Shard.create ~clock ~fail_threshold:1 [ "s1" ] in
+  ignore (Shard.feed t "s1" Shard.Transport_failure);
+  let longest = ref 0.0 in
+  for burial = 1 to 10 do
+    Alcotest.(check string) "attempt advances" (Printf.sprintf "down %d" burial)
+      (phase_of t "s1");
+    let delay = retry_at t "s1" -. !now in
+    longest := Float.max !longest delay;
     Alcotest.(check bool)
-      (Printf.sprintf "probe due within the cap after burial %d" burial)
-      true (Health.probe_due h "s1");
-    (* failed probe: next (deeper) backoff step, still capped *)
-    Health.note_failure h "s1"
-  done
+      (Printf.sprintf "burial %d delay %.3fs within the cap" burial delay)
+      true
+      (delay > 0.0 && Shard.delay settings burial <= Shard.max_delay_s
+      && delay <= Shard.max_delay_s +. 1e-9);
+    now := retry_at t "s1";
+    Alcotest.(check (list string))
+      (Printf.sprintf "probe due at the cap after burial %d" burial)
+      [ "probe" ]
+      (actions_of (Shard.feed t "s1" Shard.Tick));
+    ignore (Shard.feed t "s1" (Shard.Probe_result false))
+  done;
+  Alcotest.(check bool) "the doubling schedule reached the cap" true
+    (!longest > Shard.max_delay_s /. 2.0)
 
-(* --- circuit breaker ----------------------------------------------- *)
+let test_shard_trips_on_failure_rate () =
+  let now, clock = fake_clock () in
+  let t = Shard.create ~clock ~fail_threshold:3 [ "s1"; "s2" ] in
+  (* alternating outcomes never string two failures together, so only
+     the rate criterion can trip, and only once min_calls are in *)
+  for i = 1 to Shard.min_calls - 1 do
+    let ev = if i mod 2 = 0 then Shard.Transport_failure else Shard.Reply 5.0 in
+    Alcotest.(check (list string)) (Printf.sprintf "call %d below min_calls" i) []
+      (actions_of (Shard.feed t "s1" ev))
+  done;
+  Alcotest.(check (list string)) "trips at min_calls with rate 0.5" [ "became down" ]
+    (actions_of (Shard.feed t "s1" Shard.Transport_failure));
+  Alcotest.(check (list string)) "rate-tripped shard leaves alive" [ "s2" ]
+    (Shard.alive t [ "s1"; "s2" ]);
+  Alcotest.(check string) "other shard unaffected" "up" (phase_of t "s2");
+  (* the backoff then grants exactly one probe, and a good one
+     re-admits through the warm-up ramp *)
+  now := retry_at t "s1";
+  Alcotest.(check (list string)) "backoff grants a probe" [ "probe" ]
+    (actions_of (Shard.feed t "s1" Shard.Tick));
+  ignore (Shard.feed t "s1" (Shard.Probe_result true));
+  Alcotest.(check string) "good probe re-admits" "warming 1" (phase_of t "s1");
+  now := !now +. Shard.warmup_s;
+  Alcotest.(check string) "ramp over reads up" "up" (phase_of t "s1");
+  Alcotest.(check (list string)) "next event records the promotion" [ "became up" ]
+    (actions_of (Shard.feed t "s1" (Shard.Reply 5.0)))
 
-let breaker_settings =
-  { Breaker.window = 8; min_calls = 4; failure_rate = 0.5; slow_ms = 10.0;
-    cooldown_s = 0.05; half_open_probes = 1 }
+let test_shard_slow_calls_and_failed_probe () =
+  let now, clock = fake_clock () in
+  (* a threshold out of reach: only the rate can trip *)
+  let t = Shard.create ~clock ~fail_threshold:100 [ "s1" ] in
+  for _ = 1 to Shard.min_calls - 1 do
+    ignore (Shard.feed t "s1" (Shard.Reply (Shard.slow_ms +. 1.0)))
+  done;
+  Alcotest.(check string) "below min_calls stays up" "up" (phase_of t "s1");
+  Alcotest.(check (list string)) "slow calls count as failures" [ "became down" ]
+    (actions_of (Shard.feed t "s1" (Shard.Reply (Shard.slow_ms +. 1.0))));
+  now := retry_at t "s1";
+  Alcotest.(check (list string)) "probe granted" [ "probe" ]
+    (actions_of (Shard.feed t "s1" Shard.Tick));
+  ignore (Shard.feed t "s1" (Shard.Probe_result false));
+  Alcotest.(check string) "failed probe re-buries" "down 2" (phase_of t "s1");
+  Alcotest.(check (list string)) "re-buried is not alive" [] (Shard.alive t [ "s1" ])
 
-let test_breaker_trips_on_failure_rate () =
-  let transitions = ref [] in
-  let b =
-    Breaker.create ~settings:breaker_settings
-      ~on_transition:(fun ~shard:_ ~to_ -> transitions := to_ :: !transitions)
-      [ "s1"; "s2" ]
+let test_shard_warmup_ramp () =
+  let keys = List.init 2000 key_of in
+  let st = { Shard.initial with phase = Shard.Warming { since = 0.0; attempt = 1 } } in
+  let steps = List.init 41 (fun i -> float_of_int i *. Shard.warmup_s /. 40.0) in
+  let admitted now = List.length (List.filter (fun key -> Shard.admits ~now st ~key) keys) in
+  Alcotest.(check int) "nothing admitted at re-admission" 0 (admitted 0.0);
+  let mid = admitted (Shard.warmup_s /. 2.0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "half-way the slice is about half (%d/2000)" mid)
+    true
+    (mid > 800 && mid < 1200);
+  Alcotest.(check int) "everything admitted once the ramp is over" 2000
+    (admitted Shard.warmup_s);
+  (* per key: out ... out in ... in — the slice only grows, and each
+     key flips to the warming shard exactly once *)
+  List.iter
+    (fun key ->
+      let trail = List.map (fun now -> Shard.admits ~now st ~key) steps in
+      let flips, _ =
+        List.fold_left
+          (fun (n, prev) b ->
+            if prev && not b then Alcotest.fail "a key left the slice";
+            ((if b && not prev then n + 1 else n), b))
+          (0, false) trail
+      in
+      Alcotest.(check int) "flips to the warming shard exactly once" 1 flips)
+    keys;
+  (* through the table: outside its slice the warming shard goes last *)
+  let now, clock = fake_clock () in
+  let t = Shard.create ~clock ~fail_threshold:1 [ "w"; "u" ] in
+  ignore (Shard.feed t "w" Shard.Transport_failure);
+  now := retry_at t "w";
+  let since = !now in
+  ignore (Shard.feed t "w" Shard.Heartbeat);
+  now := since +. (Shard.warmup_s /. 2.0);
+  let st = { st with phase = Shard.Warming { since; attempt = 1 } } in
+  List.iter
+    (fun key ->
+      Alcotest.(check (list string)) "ramp order"
+        (if Shard.admits ~now:!now st ~key then [ "w"; "u" ] else [ "u"; "w" ])
+        (Shard.route t ~key [ "w"; "u" ]))
+    (List.filteri (fun i _ -> i < 200) keys)
+
+let test_shard_heartbeat_readmission () =
+  let now, clock = fake_clock () in
+  let t = Shard.create ~clock ~fail_threshold:1 ~probe_period_s:1.0 [ "s1" ] in
+  ignore (Shard.feed t "s1" Shard.Heartbeat);
+  Alcotest.(check (list string)) "fresh heartbeat spares the probe" []
+    (actions_of (Shard.feed t "s1" Shard.Tick));
+  now := !now +. 2.0;
+  Alcotest.(check (list string)) "stale heartbeat: probe again" [ "probe" ]
+    (actions_of (Shard.feed t "s1" Shard.Tick));
+  ignore (Shard.feed t "s1" Shard.Transport_failure);
+  Alcotest.(check (list string)) "heartbeat inside the backoff is noted only" []
+    (actions_of (Shard.feed t "s1" Shard.Heartbeat));
+  Alcotest.(check string) "still down" "down 1" (phase_of t "s1");
+  now := retry_at t "s1";
+  Alcotest.(check (list string)) "heartbeat after the backoff re-admits"
+    [ "became warming"; "warm-up" ]
+    (actions_of (Shard.feed t "s1" Shard.Heartbeat));
+  Alcotest.(check (list string)) "re-admitted shard is alive" [ "s1" ]
+    (Shard.alive t [ "s1" ]);
+  now := !now +. Shard.warmup_s;
+  Alcotest.(check string) "ramp completes" "up" (phase_of t "s1")
+
+(* The model: a second, list-based reading of the table in shard.mli,
+   stepped in lockstep with Shard.step over random traces. *)
+type model = {
+  m_phase : string;  (* "up" | "warming" | "down" *)
+  m_attempt : int;
+  m_since : float;
+  m_retry_at : float;
+  m_probing : bool;
+  m_streak : int;
+  m_calls : bool list;  (* newest first, true = failed *)
+  m_last_hb : float;
+}
+
+let model_initial =
+  { m_phase = "up"; m_attempt = 0; m_since = 0.0; m_retry_at = 0.0; m_probing = false;
+    m_streak = 0; m_calls = []; m_last_hb = neg_infinity }
+
+let model_step m ~now ev =
+  let promoted = m.m_phase = "warming" && now -. m.m_since >= Shard.warmup_s in
+  let m = if promoted then { m with m_phase = "up" } else m in
+  let fresh m = { m with m_streak = 0; m_calls = [] } in
+  let bury m attempt =
+    ( { (fresh m) with
+        m_phase = "down"; m_attempt = attempt; m_probing = false;
+        m_retry_at = now +. Shard.delay settings attempt },
+      [ "became down" ] )
   in
-  Alcotest.(check bool) "closed allows" true (Breaker.allow b "s1");
-  for _ = 1 to 3 do
-    Breaker.record b "s1" ~ok:false ~elapsed_ms:0.0
-  done;
-  (* 3 failures but min_calls is 4: the rate is not judged yet *)
-  Alcotest.(check bool) "below min_calls stays closed" true
-    (Breaker.state b "s1" = Breaker.Closed);
-  Breaker.record b "s1" ~ok:false ~elapsed_ms:0.0;
-  Alcotest.(check bool) "trips at min_calls + rate" true
-    (Breaker.state b "s1" = Breaker.Open);
-  Alcotest.(check bool) "open refuses" false (Breaker.allow b "s1");
-  Alcotest.(check bool) "other shard unaffected" true (Breaker.allow b "s2");
-  Alcotest.(check int) "tripped gauge" 1 (Breaker.open_count b);
-  (* cooldown -> half-open: exactly one probe slot *)
-  Unix.sleepf 0.06;
-  Alcotest.(check bool) "cooldown grants a probe" true (Breaker.allow b "s1");
-  Alcotest.(check bool) "half-open" true (Breaker.state b "s1" = Breaker.Half_open);
-  Alcotest.(check bool) "no second probe" false (Breaker.allow b "s1");
-  Breaker.record b "s1" ~ok:true ~elapsed_ms:1.0;
-  Alcotest.(check bool) "good probe closes" true
-    (Breaker.state b "s1" = Breaker.Closed);
-  Alcotest.(check bool) "closed again allows" true (Breaker.allow b "s1");
-  Alcotest.(check (list string)) "transition trail"
-    [ "closed"; "half-open"; "open" ] !transitions
+  let readmit m =
+    ( { (fresh m) with m_phase = "warming"; m_since = now },
+      [ "became warming"; "warm-up" ] )
+  in
+  let outcome m ~call ~failed =
+    let m = { m with m_streak = (if failed then m.m_streak + 1 else 0) } in
+    let m =
+      if call then
+        { m with m_calls = List.filteri (fun i _ -> i < Shard.window) (failed :: m.m_calls) }
+      else m
+    in
+    let n = List.length m.m_calls in
+    let fails = List.length (List.filter Fun.id m.m_calls) in
+    let tripped = m.m_streak >= 3 || (n >= Shard.min_calls && 2 * fails >= n) in
+    if m.m_phase = "warming" && failed then bury m (m.m_attempt + 1)
+    else if m.m_phase = "up" && tripped then bury m 1
+    else (m, [])
+  in
+  let m, acts =
+    match (m.m_phase, ev) with
+    | _, Shard.Overloaded -> (m, [])
+    | "down", (Shard.Reply _ | Shard.Transport_failure) -> (m, [])
+    | "down", Shard.Probe_result ok ->
+      if not m.m_probing then (m, [])
+      else if ok then readmit m
+      else bury m (m.m_attempt + 1)
+    | "down", Shard.Heartbeat ->
+      let m = { m with m_last_hb = now } in
+      if now >= m.m_retry_at then readmit m else (m, [])
+    | "down", Shard.Tick ->
+      if (not m.m_probing) && now >= m.m_retry_at then
+        ({ m with m_probing = true }, [ "probe" ])
+      else (m, [])
+    | _, Shard.Reply ms -> outcome m ~call:true ~failed:(ms > Shard.slow_ms)
+    | _, Shard.Transport_failure -> outcome m ~call:true ~failed:true
+    | _, Shard.Probe_result ok -> outcome m ~call:false ~failed:(not ok)
+    | _, Shard.Heartbeat -> outcome { m with m_last_hb = now } ~call:false ~failed:false
+    | _, Shard.Tick -> (m, if now -. m.m_last_hb < 2.0 then [] else [ "probe" ])
+  in
+  (m, (if promoted then [ "became up" ] else []) @ acts)
 
-let test_breaker_slow_calls_and_failed_probe () =
-  let b = Breaker.create ~settings:breaker_settings [ "s1" ] in
-  (* nominally-successful calls above slow_ms count toward the rate *)
-  for _ = 1 to 4 do
-    Breaker.record b "s1" ~ok:true ~elapsed_ms:50.0
-  done;
-  Alcotest.(check bool) "slow calls trip the breaker" true
-    (Breaker.state b "s1" = Breaker.Open);
-  Unix.sleepf 0.06;
-  Alcotest.(check bool) "probe granted" true (Breaker.allow b "s1");
-  Breaker.record b "s1" ~ok:false ~elapsed_ms:0.0;
-  Alcotest.(check bool) "failed probe re-opens" true
-    (Breaker.state b "s1" = Breaker.Open);
-  Alcotest.(check bool) "re-opened refuses" false (Breaker.allow b "s1")
+let describe_model m =
+  match m.m_phase with
+  | "up" -> "up"
+  | "warming" -> Printf.sprintf "warming %d" m.m_attempt
+  | _ -> Printf.sprintf "down %d%s" m.m_attempt (if m.m_probing then " probing" else "")
+
+let event_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun ms -> Shard.Reply ms) (oneofl [ 1.0; 40.0; Shard.slow_ms +. 1.0 ]));
+        (3, return Shard.Transport_failure);
+        (1, return Shard.Overloaded);
+        (2, map (fun ok -> Shard.Probe_result ok) bool);
+        (2, return Shard.Heartbeat);
+        (3, return Shard.Tick) ])
+
+let print_event = function
+  | Shard.Reply ms -> Printf.sprintf "reply %.0f" ms
+  | Shard.Transport_failure -> "failure"
+  | Shard.Overloaded -> "overloaded"
+  | Shard.Probe_result ok -> Printf.sprintf "probe %b" ok
+  | Shard.Heartbeat -> "heartbeat"
+  | Shard.Tick -> "tick"
+
+let trace_arb =
+  QCheck.make
+    ~print:
+      (QCheck.Print.list (fun (dt, ev) -> Printf.sprintf "+%.1f %s" dt (print_event ev)))
+    QCheck.Gen.(list_size (int_range 1 80) (pair (oneofl [ 0.0; 0.2; 0.7; 2.5; 6.0; 12.0 ]) event_gen))
+
+let shard_model_prop =
+  QCheck.Test.make ~count:500 ~name:"random traces match the table's model" trace_arb
+    (fun trace ->
+      let rec go now st m = function
+        | [] -> true
+        | (dt, ev) :: rest ->
+          let now = now +. dt in
+          let st, acts = Shard.step settings ~now st ev in
+          let m, macts = model_step m ~now ev in
+          if describe_phase st.Shard.phase <> describe_model m then
+            QCheck.Test.fail_reportf "state %s, model %s after %s"
+              (describe_phase st.Shard.phase) (describe_model m) (print_event ev)
+          else if List.map describe_action acts <> macts then
+            QCheck.Test.fail_reportf "actions [%s], model [%s] after %s"
+              (String.concat "; " (List.map describe_action acts))
+              (String.concat "; " macts) (print_event ev)
+          else go now st m rest
+      in
+      go 0.0 Shard.initial model_initial trace)
+
+let to_alcotest test =
+  let rng = Cs_util.Rng.create 0x5A4D_0001 in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make (Array.init 8 (fun _ -> Cs_util.Rng.int rng 0x3FFFFFFF)))
+    test
 
 (* --- durable journal ----------------------------------------------- *)
 
@@ -573,7 +854,7 @@ let test_gateway_failover_exactly_once () =
     (Printf.sprintf "in-flight jobs were replayed (%d)" st.Gateway.replayed)
     true (st.Gateway.replayed >= 1);
   (match List.assoc_opt victim_name (Gateway.shard_states gw) with
-  | Some Health.Healthy -> Alcotest.fail "dead shard still marked healthy"
+  | Some Shard.Up -> Alcotest.fail "dead shard still marked healthy"
   | Some _ -> ()
   | None -> Alcotest.fail "victim missing from health table");
   (* the fleet keeps serving on the survivor *)
@@ -587,6 +868,118 @@ let test_gateway_failover_exactly_once () =
     | Proto.Refused e -> Alcotest.failf "post-failover job refused: %s" e.message)
   | Ok rs -> Alcotest.failf "expected one reply, got %d" (List.length rs)
   | Error e -> Alcotest.failf "post-failover submit failed: %s" e
+
+(* A stand-in shard that answers probes but alternates its job
+   outcomes: a canned schedule, then a connection closed without a
+   reply. It never fails twice in a row, so only the failure-rate
+   criterion can take it down. *)
+let with_flaky_shard f =
+  let addr = Transport.parse_exn "127.0.0.1:0" in
+  let listen_fd = Transport.listen addr in
+  let bound = Transport.bound_addr listen_fd addr in
+  let stopping = Atomic.make false in
+  let jobs = Atomic.make 0 in
+  let serve fd =
+    let ic = Unix.in_channel_of_descr fd in
+    let rec lines acc =
+      match input_line ic with
+      | l -> lines (if String.trim l = "" then acc else l :: acc)
+      | exception End_of_file -> List.rev acc
+    in
+    let reply line = ignore (Unix.write_substring fd (line ^ "\n") 0 (String.length line + 1)) in
+    (match lines [] with
+    | first :: _ -> (
+      match Proto.incoming_of_line first with
+      | Ok (Proto.Control { id; _ }) ->
+        reply
+          (Proto.pong_to_line ~id
+             { Proto.queue_depth = 0; workers = 1; busy = 0; admitted = 0;
+               completed = 0; shed = 0; refusals = 0; extra = [] })
+      | Ok (Proto.Job_request r) ->
+        if Atomic.fetch_and_add jobs 1 mod 2 = 0 then
+          reply
+            (Proto.reply_to_line
+               (Proto.reply ~id:r.Proto.id ~elapsed_ms:1.0
+                  (Proto.Scheduled
+                     { cycles = 1; transfers = 0; rung = "requested";
+                       timed_out = false; quarantined = 0 })))
+      | _ -> ())
+    | [] -> ());
+    Unix.close fd
+  in
+  let rec accept_loop () =
+    match Unix.accept listen_fd with
+    | fd, _ ->
+      if not (Atomic.get stopping) then begin
+        serve fd;
+        accept_loop ()
+      end
+      else Unix.close fd
+    | exception Unix.Unix_error _ -> if not (Atomic.get stopping) then accept_loop ()
+  in
+  let d = Domain.spawn accept_loop in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stopping true;
+      (try Unix.close (Transport.connect bound) with Unix.Unix_error _ -> ());
+      Domain.join d;
+      Unix.close listen_fd)
+    (fun () -> f (Transport.to_string bound) jobs)
+
+let test_gateway_rate_tripped_shard_leaves_alive () =
+  with_server "127.0.0.1:0" @@ fun s1 ->
+  with_flaky_shard @@ fun flaky flaky_jobs ->
+  (* one forwarder keeps outcomes in order; a long probe period keeps
+     the prober from re-admitting the shard mid-test *)
+  let cfg =
+    Gateway.config ~forwarders:1 ~probe_period_s:30.0
+      ~shards:[ shard_spec s1; flaky ] "127.0.0.1:0"
+  in
+  with_gateway cfg @@ fun gw ->
+  let addr = Gateway.address gw in
+  let extra k =
+    match Cs_svc.Client.fetch_stats ~addr () with
+    | Ok s -> List.assoc_opt k s.Proto.extra
+    | Error e -> Alcotest.failf "gateway stats failed: %s" e
+  in
+  Alcotest.(check (option (float 0.0))) "both shards alive" (Some 2.0)
+    (extra "shards_alive");
+  Alcotest.(check (option (float 0.0))) "full watermark" (Some 54.0)
+    (extra "admission_watermark");
+  let flaky_down () =
+    match List.assoc_opt flaky (Gateway.shard_states gw) with
+    | Some (Shard.Down _) -> true
+    | _ -> false
+  in
+  let rec submit i =
+    if i < 80 && not (flaky_down ()) then begin
+      (match
+         Cs_svc.Client.submit ~timeout_s:60.0 ~addr
+           [ Proto.request ~id:(Printf.sprintf "r%d" i) ~machine:"raw4" ~seed:i "fir" ]
+       with
+      | Ok [ { Proto.verdict = Proto.Scheduled _; _ } ] -> ()
+      | Ok _ -> Alcotest.failf "job r%d not scheduled" i
+      | Error e -> Alcotest.failf "submit failed: %s" e);
+      submit (i + 1)
+    end
+  in
+  submit 0;
+  Alcotest.(check bool) "alternating failures took the shard down" true (flaky_down ());
+  Alcotest.(check int) "tripped on rate at min_calls, never on the streak"
+    Shard.min_calls (Atomic.get flaky_jobs);
+  Alcotest.(check (option (float 0.0))) "stats pong: one shard alive" (Some 1.0)
+    (extra "shards_alive");
+  Alcotest.(check (option (float 0.0))) "watermark halves with the alive count"
+    (Some 27.0) (extra "admission_watermark");
+  match Cs_svc.Client.fetch_metrics ~addr () with
+  | Ok (Proto.Snapshot snap) ->
+    Alcotest.(check bool) "csched_shards_alive gauge" true
+      (Cs_obs.Metrics.find snap "csched_shards_alive" = Some (Cs_obs.Metrics.Gauge_v 1.0));
+    Alcotest.(check bool) "csched_shard_state reads down" true
+      (Cs_obs.Metrics.find snap ~labels:[ ("shard", flaky) ] "csched_shard_state"
+      = Some (Cs_obs.Metrics.Gauge_v 2.0))
+  | Ok (Proto.Prom_text _) -> Alcotest.fail "asked for json"
+  | Error e -> Alcotest.failf "metrics verb failed: %s" e
 
 let test_gateway_stats_verb () =
   with_server "127.0.0.1:0" @@ fun s1 ->
@@ -748,18 +1141,21 @@ let () =
             test_ring_rebalance_bound;
         ] );
       ("cache", [ Alcotest.test_case "lru accounting" `Quick test_cache_lru_accounting ]);
-      ( "health",
+      ( "shard",
         [
-          Alcotest.test_case "evict + backoff readmit" `Quick test_health_evict_and_readmit;
+          Alcotest.test_case "transition table: every state x event" `Quick
+            test_shard_transition_table;
+          Alcotest.test_case "evict + backoff readmit" `Quick test_shard_evict_and_readmit;
           Alcotest.test_case "backoff capped at max interval" `Quick
-            test_health_backoff_capped;
-        ] );
-      ( "breaker",
-        [
+            test_shard_backoff_capped;
           Alcotest.test_case "trips on failure rate" `Quick
-            test_breaker_trips_on_failure_rate;
+            test_shard_trips_on_failure_rate;
           Alcotest.test_case "slow calls + failed probe" `Quick
-            test_breaker_slow_calls_and_failed_probe;
+            test_shard_slow_calls_and_failed_probe;
+          Alcotest.test_case "warm-up ramp" `Quick test_shard_warmup_ramp;
+          Alcotest.test_case "heartbeat re-admission" `Quick
+            test_shard_heartbeat_readmission;
+          to_alcotest shard_model_prop;
         ] );
       ( "journal",
         [
@@ -788,6 +1184,8 @@ let () =
           Alcotest.test_case "journal: exactly once across restart" `Slow
             test_gateway_journal_exactly_once_across_restart;
           Alcotest.test_case "stats verb" `Slow test_gateway_stats_verb;
+          Alcotest.test_case "rate-tripped shard leaves alive count" `Slow
+            test_gateway_rate_tripped_shard_leaves_alive;
           Alcotest.test_case "metrics verb accounts every job" `Slow
             test_gateway_metrics_verb_accounts_every_job;
           Alcotest.test_case "trace propagation gateway -> shard" `Slow

@@ -846,7 +846,7 @@ let test_brownout_escalates_and_recovers_hysteretically () =
   Alcotest.(check int) "upward transitions counted" 2
     (Cs_svc.Brownout.escalations b)
 
-(* --- lanes engine end-to-end --------------------------------------- *)
+(* --- lanes: fair admission + work stealing, end to end ------------- *)
 
 let test_serve_splits_oversized_job () =
   let socket = tmp_path (Printf.sprintf "cs_svc_split_%d.sock" (Unix.getpid ())) in
@@ -970,29 +970,6 @@ let test_serve_queue_depth_peak_gauge () =
           Alcotest.(check bool) "peak gauge recorded a backlog" true (v >= 1.0)
         | _ -> Alcotest.fail "csched_queue_depth_peak missing"))
 
-let test_serve_single_queue_engine_still_works () =
-  let socket = tmp_path (Printf.sprintf "cs_svc_sq_%d.sock" (Unix.getpid ())) in
-  let cfg =
-    Cs_svc.Server.config ~workers:2 ~engine:Cs_svc.Server.Single_queue socket
-  in
-  with_server cfg (fun server ->
-      match
-        Cs_svc.Client.submit ~timeout_s:60.0
-          ~addr:(Cs_svc.Transport.parse_exn socket)
-          (List.init 3 (fun i ->
-               Cs_svc.Proto.request ~id:(Printf.sprintf "b%d" i) ~machine:"raw4" "fir"))
-      with
-      | Error e -> Alcotest.failf "submit failed: %s" e
-      | Ok rs ->
-        Alcotest.(check int) "all answered" 3 (List.length rs);
-        List.iter
-          (fun (r : Cs_svc.Proto.reply) ->
-            match r.Cs_svc.Proto.verdict with
-            | Cs_svc.Proto.Scheduled _ -> ()
-            | Cs_svc.Proto.Refused e -> Alcotest.failf "baseline refused: %s" e.message)
-          rs;
-        Alcotest.(check int) "completed" 3 (Cs_svc.Server.stats server).Cs_svc.Server.completed)
-
 let () =
   Alcotest.run "svc"
     [
@@ -1096,7 +1073,5 @@ let () =
             test_serve_mixed_verdict_strict_accounting;
           Alcotest.test_case "queue depth peak gauge" `Slow
             test_serve_queue_depth_peak_gauge;
-          Alcotest.test_case "single-queue engine baseline" `Slow
-            test_serve_single_queue_engine_still_works;
         ] );
     ]
