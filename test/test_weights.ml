@@ -264,6 +264,7 @@ type op =
   | Scale_time of int * int * float
   | Scale_clusters of int * float array
   | Map_row of int * float
+  | Mask_time_window of int * int * int
   | Blend of int * int * float
   | Normalize of int
   | Normalize_all
@@ -288,6 +289,10 @@ let op_gen =
             (fun (i, fs) -> Scale_clusters (i, Array.of_list fs))
             (tup2 i (list_repeat pnc v)) );
         (2, map (fun (i, f) -> Map_row (i, f)) (tup2 i v));
+        (* -1..pnt: empty, inverted and out-of-range windows included. *)
+        ( 2,
+          let bound = int_range (-1) pnt in
+          map (fun (i, lo, hi) -> Mask_time_window (i, lo, hi)) (tup3 i bound bound) );
         ( 2,
           map (fun (d, s, k) -> Blend (d, s, k)) (tup3 i i (float_bound_inclusive 1.0))
         );
@@ -305,12 +310,26 @@ let apply_op w = function
   | Scale_time (i, t, v) -> Weights.scale_time w i t v
   | Scale_clusters (i, fs) -> Weights.scale_clusters w i fs
   | Map_row (i, f) -> Weights.map_row w i (fun _ _ v -> v *. f)
+  | Mask_time_window (i, lo, hi) -> Weights.mask_time_window w i ~lo ~hi
   | Blend (d, s, k) -> Weights.blend w ~dst:d ~src:s ~keep:k
   | Normalize i -> Weights.normalize w i
   | Normalize_all -> Weights.normalize_all w
 
-let run_ops impl ops =
-  let w = Weights.create_with ~impl ~n:pn ~nc:pnc ~nt:pnt in
+let apply_ref r = function
+  | Set (i, c, t, v) -> Weights_ref.set r i c t v
+  | Add (i, c, t, v) -> Weights_ref.add r i c t v
+  | Scale (i, c, t, v) -> Weights_ref.scale r i c t v
+  | Scale_cluster (i, c, v) -> Weights_ref.scale_cluster r i c v
+  | Scale_time (i, t, v) -> Weights_ref.scale_time r i t v
+  | Scale_clusters (i, fs) -> Weights_ref.scale_clusters r i fs
+  | Map_row (i, f) -> Weights_ref.map_row r i (fun _ _ v -> v *. f)
+  | Mask_time_window (i, lo, hi) -> Weights_ref.mask_time_window r i ~lo ~hi
+  | Blend (d, s, k) -> Weights_ref.blend r ~dst:d ~src:s ~keep:k
+  | Normalize i -> Weights_ref.normalize r i
+  | Normalize_all -> Weights_ref.normalize_all r
+
+let run_ops ops =
+  let w = Weights.create ~n:pn ~nc:pnc ~nt:pnt in
   List.iter (apply_op w) ops;
   w
 
@@ -343,49 +362,43 @@ let holds_invariants w =
   done;
   !ok && ok_invariants w
 
-let test_ops_invariants_qcheck impl =
+let test_ops_invariants_qcheck =
   let prop =
-    QCheck.Test.make ~count:300
-      ~name:
-        (Printf.sprintf "op sequences keep invariants (%s)" (Weights.impl_name impl))
+    QCheck.Test.make ~count:300 ~name:"op sequences keep invariants (flat)"
       (QCheck.make ops_gen)
       (fun ops ->
-        let w = run_ops impl ops in
+        let w = run_ops ops in
         Weights.normalize_all w;
         holds_invariants w)
   in
   to_alcotest prop
 
-(* The bit-compatibility contract at the unit level: both storages
-   perform the same FP ops in the same order, so every entry, marginal
-   and dirty flag must be *bit*-identical after any op sequence (no
+(* The fused kernels against the per-element reference: the same FP
+   ops in the same order, so every entry, every marginal and every
+   touched flag must be *bit*-identical after any op sequence (no
    epsilon anywhere). *)
-let test_ops_bit_compat_qcheck =
+let test_ops_reference_qcheck =
   let prop =
-    QCheck.Test.make ~count:300 ~name:"flat = legacy, bit for bit"
+    QCheck.Test.make ~count:1000 ~name:"flat = reference, bit for bit"
       (QCheck.make ops_gen)
       (fun ops ->
-        let wf = run_ops Weights.Flat ops in
-        let wl = run_ops Weights.Legacy ops in
+        let w = run_ops ops in
+        let r = Weights_ref.create ~n:pn ~nc:pnc ~nt:pnt in
+        List.iter (apply_ref r) ops;
+        let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
         let ok = ref true in
+        let expect b = if not b then ok := false in
         for i = 0 to pn - 1 do
-          if Weights.is_touched wf i <> Weights.is_touched wl i then ok := false;
-          if Weights.row_total wf i <> Weights.row_total wl i then ok := false;
-          if Weights.confidence wf i <> Weights.confidence wl i then ok := false;
-          if Weights.preferred_cluster wf i <> Weights.preferred_cluster wl i then
-            ok := false;
-          if Weights.preferred_time wf i <> Weights.preferred_time wl i then
-            ok := false;
+          expect (Weights.is_touched w i = Weights_ref.is_touched r i);
+          expect (same (Weights.row_total w i) (Weights_ref.row_total r i));
           for c = 0 to pnc - 1 do
-            if Weights.cluster_weight wf i c <> Weights.cluster_weight wl i c then
-              ok := false;
+            expect (same (Weights.cluster_weight w i c) (Weights_ref.cluster_weight r i c));
             for t = 0 to pnt - 1 do
-              if Weights.get wf i c t <> Weights.get wl i c t then ok := false
+              expect (same (Weights.get w i c t) (Weights_ref.get r i c t))
             done
           done;
           for t = 0 to pnt - 1 do
-            if Weights.time_weight wf i t <> Weights.time_weight wl i t then
-              ok := false
+            expect (same (Weights.time_weight w i t) (Weights_ref.time_weight r i t))
           done
         done;
         !ok)
@@ -397,7 +410,7 @@ let test_ops_dirty_exact_qcheck =
     QCheck.Test.make ~count:300 ~name:"touched set = exactly the written rows"
       (QCheck.make ops_gen)
       (fun ops ->
-        let w = Weights.create_with ~impl:Weights.Flat ~n:pn ~nc:pnc ~nt:pnt in
+        let w = Weights.create ~n:pn ~nc:pnc ~nt:pnt in
         let before = Weights.copy w in
         List.iter (apply_op w) ops;
         (* Every changed row must be flagged: an unflagged row must hold
@@ -516,8 +529,7 @@ let () =
         [
           test_random_edits_qcheck; test_random_blends_qcheck;
           test_marginal_consistency_qcheck;
-          test_ops_invariants_qcheck Weights.Flat;
-          test_ops_invariants_qcheck Weights.Legacy;
-          test_ops_bit_compat_qcheck; test_ops_dirty_exact_qcheck;
+          test_ops_invariants_qcheck; test_ops_reference_qcheck;
+          test_ops_dirty_exact_qcheck;
         ] );
     ]
