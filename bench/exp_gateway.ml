@@ -159,7 +159,6 @@ let chaos_experiment () =
 
 let gateway () =
   Report.section "Gateway fleet: result cache and failover (extension)";
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let cache_json = cache_experiment () in
   let chaos_json = chaos_experiment () in
   let json =

@@ -322,7 +322,6 @@ let isolation_experiment () =
 
 let serve () =
   Report.section "Overload: lanes, fair admission, brownout (extension)";
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Printf.printf "%d core%s, %.0f s per load point (BENCH_SERVE_SECS)\n" cores
     (if cores = 1 then "" else "s")
     duration_s;

@@ -1865,8 +1865,8 @@ let top_cmd =
 let chaos_cmd = Chaos.cmd
 
 let () =
-  (* Every networked subcommand writes to sockets whose peer may vanish
-     mid-write; set once here instead of per-command. *)
+  (* Socket writes already surface a vanished peer as EPIPE (Cs_svc.Wire
+     owns that); this covers stdout, e.g. [csched list | head -1]. *)
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let doc = "convergent scheduling for spatial architectures (MICRO-35 reproduction)" in
   let info = Cmd.info "csched" ~version:"1.0.0" ~doc in

@@ -1129,9 +1129,6 @@ let test_gateway_trace_propagation () =
     (arg_str "span_id" dispatch = arg_str "span_id" run)
 
 let () =
-  (* aborted shards close sockets mid-write; surface that as EPIPE, not
-     a process kill *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "gateway"
     [
       ( "ring",

@@ -657,6 +657,83 @@ let test_serve_stop_is_clean_and_idempotent () =
       Cs_svc.Server.stop server);
   Alcotest.(check bool) "socket file removed on drain" false (Sys.file_exists socket)
 
+(* --- connection robustness ------------------------------------------ *)
+
+let ping_answered addr =
+  match Cs_svc.Client.fetch_stats ~timeout_s:2.0 ~addr () with
+  | Ok _ -> true
+  | Error _ -> false
+
+(* A client that hangs up before its reply must cost the server nothing
+   but a failed write. The job line goes out through a raw write so
+   this test installs no SIGPIPE handling of its own. *)
+let test_serve_survives_client_gone_before_reply () =
+  let socket = tmp_path (Printf.sprintf "cs_svc_gone_%d.sock" (Unix.getpid ())) in
+  let addr = Cs_svc.Transport.parse_exn socket in
+  with_server (Cs_svc.Server.config ~workers:1 socket) (fun server ->
+      let fd = Cs_svc.Transport.connect addr in
+      let line =
+        Cs_svc.Proto.request_to_line
+          (Cs_svc.Proto.request ~id:"gone" ~machine:"raw4" "sha")
+        ^ "\n"
+      in
+      ignore (Unix.write_substring fd line 0 (String.length line));
+      Unix.close fd;
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      while
+        (Cs_svc.Server.stats server).Cs_svc.Server.completed < 1
+        && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.01
+      done;
+      Alcotest.(check int) "job ran to completion" 1
+        (Cs_svc.Server.stats server).Cs_svc.Server.completed;
+      (* the reply write to the vanished client happens right after the
+         completion count; give it time to land before probing *)
+      Unix.sleepf 0.2;
+      Alcotest.(check bool) "ping answered after the failed reply" true
+        (ping_answered addr))
+
+(* More idle connections than OCaml allows domains (128): the readers
+   that cannot be spawned cost their connection, never the server. Each
+   connection pings first, so the server has accepted it before the
+   next one opens; past the limit the ping meets EOF instead of a pong,
+   and once one goes unanswered the rest just connect. *)
+let test_serve_survives_domain_limit () =
+  let socket = tmp_path (Printf.sprintf "cs_svc_idle_%d.sock" (Unix.getpid ())) in
+  let addr = Cs_svc.Transport.parse_exn socket in
+  let server = Cs_svc.Server.create (Cs_svc.Server.config ~workers:1 socket) in
+  let runner = Domain.spawn (fun () -> Cs_svc.Server.run server) in
+  let ping = Cs_svc.Proto.stats_line () ^ "\n" in
+  let buf = Bytes.create 4096 in
+  let pinging = ref true in
+  let open_idle _ =
+    let fd = Cs_svc.Transport.connect addr in
+    if !pinging then begin
+      Unix.setsockopt_float fd SO_RCVTIMEO 2.0;
+      ignore (Unix.write_substring fd ping 0 (String.length ping));
+      pinging := (try Unix.read fd buf 0 (Bytes.length buf) > 0 with Unix.Unix_error _ -> false)
+    end;
+    fd
+  in
+  let idle = List.init 140 open_idle in
+  List.iter Unix.close idle;
+  (* readers see EOF and are joined on the next accept; until then a
+     probe may itself find no domain to read it *)
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  let rec probe () =
+    ping_answered addr
+    || Unix.gettimeofday () < deadline && (Unix.sleepf 0.1; probe ())
+  in
+  let answered = probe () in
+  Cs_svc.Server.stop server;
+  (match Domain.join runner with
+  | () -> ()
+  | exception e -> Alcotest.failf "Server.run raised %s" (Printexc.to_string e));
+  Alcotest.(check bool) "ping answered after the idle connections closed" true
+    answered;
+  Alcotest.(check bool) "socket file removed on drain" false (Sys.file_exists socket)
+
 (* --- retry backoff saturation (property) --------------------------- *)
 
 let to_alcotest test =
@@ -706,6 +783,51 @@ let retry_backoff_prop =
       if not (monotone bare) then
         QCheck.Test.fail_reportf "unjittered schedule non-monotone";
       List.length delays = attempts - 1)
+
+(* --- wire framing (property) ---------------------------------------- *)
+
+(* Any cut of any byte stream into chunks frames into exactly the
+   pieces of [String.split_on_char '\n']: empty lines, lines longer
+   than the 4 KB read size, and a final piece with no newline. Chunks
+   sit at an offset inside a buffer padded with newlines, so the
+   splitter must honour [off] and [len]. *)
+let wire_framing_prop =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [ (3, return "\n");
+        (6, string_size ~gen:(oneofl [ 'a'; 'b'; ' ' ]) (int_bound 12));
+        (1, string_size ~gen:(return 'x') (int_range 4000 9000)) ]
+  in
+  let gen =
+    pair (map (String.concat "") (list_size (int_bound 20) piece))
+      (list_size (int_range 1 8) (int_range 1 6000))
+  in
+  let print (s, cuts) =
+    Printf.sprintf "%d bytes, %d newlines, cuts [%s]" (String.length s)
+      (List.length (String.split_on_char '\n' s) - 1)
+      (String.concat ";" (List.map string_of_int cuts))
+  in
+  QCheck.Test.make ~count:200 ~name:"wire framing matches split_on_char"
+    (QCheck.make ~print gen)
+    (fun (s, cuts) ->
+      let got = ref [] in
+      let sp = Cs_svc.Wire.splitter (fun line -> got := line :: !got) in
+      let n = String.length s in
+      let rec go pos = function
+        | _ when pos >= n -> ()
+        | cut :: rest ->
+          let len = min cut (n - pos) in
+          let pad = 3 in
+          let b = Bytes.make (len + (2 * pad)) '\n' in
+          Bytes.blit_string s pos b pad len;
+          Cs_svc.Wire.feed sp b pad len;
+          go (pos + len) (rest @ [ cut ])
+        | [] -> assert false
+      in
+      go 0 cuts;
+      Cs_svc.Wire.flush sp;
+      List.rev !got = String.split_on_char '\n' s)
 
 (* --- proto tenant / class ------------------------------------------ *)
 
@@ -1041,8 +1163,13 @@ let () =
           Alcotest.test_case "metrics verb" `Slow test_serve_metrics_verb;
           Alcotest.test_case "clean idempotent stop" `Slow
             test_serve_stop_is_clean_and_idempotent;
+          Alcotest.test_case "client gone before reply" `Slow
+            test_serve_survives_client_gone_before_reply;
+          Alcotest.test_case "survives the domain limit" `Slow
+            test_serve_survives_domain_limit;
         ] );
       ("backoff", [ to_alcotest retry_backoff_prop ]);
+      ("wire", [ to_alcotest wire_framing_prop ]);
       ( "tenancy",
         [
           Alcotest.test_case "proto tenant/class roundtrip" `Quick
