@@ -9,6 +9,9 @@
      dirty row:   clear_touched; apply; normalize_touched;
                   validate_touched; sync_rows touched w->snapshot
 
+   The settled matrix's mean band fraction (the share of each row's
+   slots the banded kernels sweep) is printed and recorded too.
+
    Machine-readable output lands in BENCH_kernels.json; CI runs this
    experiment and fails the build unless the aggregate (geomean)
    speedup is > 1, i.e. if dirty-row tracking ever stops paying for
@@ -77,6 +80,17 @@ let kernels () =
       Weights.normalize_all settled)
     passes;
   Weights.clear_touched settled;
+  (* Mean share of a row's nt slots inside its band: the part of each
+     row the kernels sweep. *)
+  let band_fraction =
+    let live = ref 0 in
+    for i = 0 to n - 1 do
+      let lo, hi = Weights.band settled i in
+      live := !live + max 0 (hi - lo + 1)
+    done;
+    if n = 0 then 0.0 else float_of_int !live /. float_of_int (n * nt)
+  in
+  Printf.printf "settled matrix: mean band fraction %.3f of nt\n%!" band_fraction;
   Printf.printf "\n%-10s %15s %15s %9s\n" "pass" "full rows/s" "dirty rows/s" "speedup";
   let rows =
     (* Both protocols measured back to back per pass, so slow drift in
@@ -101,6 +115,7 @@ let kernels () =
         ("n", Num (float_of_int n));
         ("nc", Num (float_of_int nc));
         ("nt", Num (float_of_int nt));
+        ("band_fraction", Num band_fraction);
         ( "passes",
           List
             (List.map

@@ -18,16 +18,28 @@ let two_hop graph i =
 
 let apply ~eps ~grand ~grand_weight ~per_slot ~strengthen_preferred ctx w =
   let graph = Context.graph ctx in
-  let snap = Weights.copy w in
-  let factors = Array.make (Weights.nc w) 0.0 in
+  let nc = Weights.nc w in
+  (* Neighbours are read as they were before the pass. The per-slot
+     mode reads whole entries, so it snapshots the matrix; the default
+     mode reads only cluster marginals, so it snapshots those
+     (n * nc floats instead of n * nc * nt). *)
+  let snap =
+    if per_slot then `Entries (Weights.copy w)
+    else
+      `Cluster_weights
+        (Array.init (Weights.n w * nc) (fun k ->
+             Weights.cluster_weight w (k / nc) (k mod nc)))
+  in
+  let factors = Array.make nc 0.0 in
   for i = 0 to Weights.n w - 1 do
     let direct, grands =
       if grand then two_hop graph i else (Cs_ddg.Graph.neighbors graph i, [])
     in
     if direct <> [] || grands <> [] then
-      if per_slot then
+      match snap with
+      | `Entries snap ->
         (* The paper's literal formula: couple on identical (c, t) slots. *)
-        for c = 0 to Weights.nc w - 1 do
+        for c = 0 to nc - 1 do
           for tt = 0 to Weights.nt w - 1 do
             let pull = ref 0.0 in
             List.iter (fun j -> pull := !pull +. Weights.get snap j c tt) direct;
@@ -37,26 +49,21 @@ let apply ~eps ~grand ~grand_weight ~per_slot ~strengthen_preferred ctx w =
             Weights.scale w i c tt (eps +. !pull)
           done
         done
-      else
+      | `Cluster_weights cw ->
         (* Space-marginal coupling: dependent instructions execute at
            *different* times, so the spatial pull is the neighbors' whole
            cluster marginal, applied uniformly across feasible slots.
            The per-cluster pulls are gathered first (O(1) each off the
-           marginal cache), then applied in one fused row sweep. *)
-        begin
-          for c = 0 to Weights.nc w - 1 do
-            let pull = ref 0.0 in
-            List.iter
-              (fun j -> pull := !pull +. Weights.cluster_weight snap j c)
-              direct;
-            List.iter
-              (fun j ->
-                pull := !pull +. (grand_weight *. Weights.cluster_weight snap j c))
-              grands;
-            factors.(c) <- eps +. !pull
-          done;
-          Weights.scale_clusters w i factors
-        end
+           marginal snapshot), then applied in one fused row sweep. *)
+        for c = 0 to nc - 1 do
+          let pull = ref 0.0 in
+          List.iter (fun j -> pull := !pull +. cw.((j * nc) + c)) direct;
+          List.iter
+            (fun j -> pull := !pull +. (grand_weight *. cw.((j * nc) + c)))
+            grands;
+          factors.(c) <- eps +. !pull
+        done;
+        Weights.scale_clusters w i factors
   done;
   if strengthen_preferred > 1.0 then
     for i = 0 to Weights.n w - 1 do

@@ -14,6 +14,17 @@
     over the whole row are cached incrementally so preferred slots and
     confidences are O(clusters + slots), as the paper requires.
 
+    {b Banded rows.} Every row carries a band [\[lo, hi\]] of time
+    slots (see {!band}): each entry of the row at a slot outside it is
+    zero. A fresh row's band is every slot. {!mask_time_window} narrows
+    it (INITTIME confines each row to its [\[est, lst\]] window),
+    {!blend} widens the destination's band to the union of both rows'
+    bands, a nonzero {!set} outside the band widens it to reach the
+    slot, and {!normalize}'s uniform reset restores the full band.
+    Every row kernel runs over the band only, so a pass costs time in
+    proportion to the rows' live windows, not to [nt]. Storage stays
+    one dense block, so {!get} reads any slot.
+
     Every write also marks its row {e touched}, so renormalization, the
     driver's quarantine gate and snapshot maintenance run in time
     proportional to the rows a pass actually wrote (see the
@@ -22,9 +33,10 @@
 
     The block is a float64 [Bigarray] swept by fused, unchecked row
     kernels. Each kernel performs the same floating-point operations in
-    the same order as the per-element {!set} chain it stands for, so a
-    fused sweep and the equivalent sequence of {!set} calls leave
-    bit-identical entries and marginals. *)
+    the same order as the per-element {!set} chain it stands for (the
+    entries it skips outside the band would add zero deltas and zero
+    terms), so a fused sweep and the equivalent sequence of {!set}
+    calls leave bit-identical entries and marginals. *)
 
 type t
 
@@ -41,41 +53,63 @@ val get : t -> int -> int -> int -> float
 (** [get w i c t]. *)
 
 val set : t -> int -> int -> int -> float -> unit
+(** Store a finite, non-negative weight; anything else raises
+    [Invalid_argument]. A value equal to the current one stores
+    nothing and leaves the row untouched, and a zero is always stored
+    as [+0.0]. *)
+
 val add : t -> int -> int -> int -> float -> unit
 val scale : t -> int -> int -> int -> float -> unit
 
+val band : t -> int -> int * int
+(** [band w i] is row [i]'s band [(lo, hi)]: every entry of the row at
+    a slot outside [lo..hi] is zero. An empty band (a row whose mass
+    was masked away) is [(nt, -1)]. *)
+
 (** {1 Fused row kernels}
 
-    Each is a single sweep over contiguous storage; all of them reject
-    a produced value that is non-finite or negative exactly as {!set}
-    does, and leave a row's touched flag unset when nothing actually
-    changed (e.g. scaling by 1.0). *)
+    Each sweeps one row's band, lane by lane in ascending slot order;
+    all of them reject a produced value that is non-finite or negative
+    exactly as {!set} does, and leave a row's touched flag unset when
+    nothing actually changed (e.g. scaling by 1.0). The scaling
+    kernels reject a non-finite factor before they write, even on a
+    row whose band is empty. *)
 
 val scale_cluster : t -> int -> int -> float -> unit
-(** Scale all time slots of one (instruction, cluster) — one
-    contiguous lane of [nt] doubles. *)
+(** Scale all time slots of one (instruction, cluster): the band's
+    part of one contiguous lane of [nt] doubles. *)
 
 val scale_time : t -> int -> int -> float -> unit
 (** Scale all clusters of one (instruction, slot) — an [nt]-strided
-    walk. *)
+    walk, skipped when the slot lies outside the band. *)
 
 val scale_clusters : t -> int -> float array -> unit
 (** [scale_clusters w i factors] multiplies every entry [W(i,c,t)] by
     [factors.(c)] in one row sweep; [factors] must have length [nc].
     Equivalent to [scale_cluster w i c factors.(c)] for each [c] in
     order — the shape the LOAD / COMM / FEASIBLE / PLACEPROP kernels
-    reduce to. *)
+    reduce to. A non-finite [factors.(c)] raises after lanes [0..c-1]
+    were scaled, as that [scale_cluster] chain would. *)
 
 val map_row : t -> int -> (int -> int -> float -> float) -> unit
 (** [map_row w i f] rewrites row [i] as [W(i,c,t) <- f c t W(i,c,t)],
-    visiting entries in flat (cluster-major) order. *)
+    visiting the band's entries in flat (cluster-major) order. [f] is
+    called only on slots inside the band, and must map [0.0] to [0.0]:
+    the zeros outside the band, which it never sees, stay zero, so the
+    result equals applying [f] to every entry. (NOISE, which perturbs
+    only positive entries, meets this; its RNG draws happen in the
+    same order as over the full row.) *)
 
 val mask_time_window : t -> int -> lo:int -> hi:int -> unit
 (** [mask_time_window w i ~lo ~hi] zeroes every slot of row [i]
-    outside the inclusive window [lo..hi] — INITTIME's shape.
-    Equivalent to
+    outside the inclusive window [lo..hi] — INITTIME's shape — and
+    narrows the band to its intersection with the window (empty when
+    the window is). Equivalent to
     [map_row w i (fun _ t v -> if t < lo || t > hi then 0.0 else v)]
-    without the per-element closure call. *)
+    without the per-element closure call. The zeroed slots' time
+    marginals keep the rounding residue of the subtraction, exactly as
+    that [map_row] would leave them, until the row's marginals are
+    next rebuilt ({!normalize}, {!blend}). *)
 
 (** {1 Cached marginals} *)
 
@@ -91,7 +125,7 @@ val row_total : t -> int -> float
 val normalize : t -> int -> unit
 (** Rescale instruction [i]'s entries to sum to 1 and rebuild its
     marginal caches exactly; a row that has been squashed to all zeros
-    is reset to uniform. *)
+    is reset to uniform, which restores the full band. *)
 
 val normalize_all : t -> unit
 
@@ -116,8 +150,10 @@ val touched_rows : t -> int list
 val clear_touched : t -> unit
 
 val sync_rows : rows:int list -> src:t -> dst:t -> unit
-(** Copy the listed rows — entries and cached marginals — from [src]
-    into [dst] (same dimensions required). With
+(** Copy the listed rows — entries, cached marginals and bands — from
+    [src] into [dst] (same dimensions required). Only the union of a
+    row's [src] and [dst] bands is copied: outside it both rows hold
+    zeros. With
     [rows = touched_rows w] this is the O(touched) half of the
     quarantine protocol: rollback restores exactly the rows a
     misbehaving pass wrote ([src] = snapshot, [dst] = w), and a clean
@@ -148,7 +184,8 @@ val confidence : t -> int -> float
 val blend : t -> dst:int -> src:int -> keep:float -> unit
 (** [blend w ~dst ~src ~keep] sets [W(dst) <- keep * W(dst) +
     (1 - keep) * W(src)] pointwise — the paper's linear combination with
-    [n = 2, i1 = j]. [keep] must be in [\[0, 1\]]. *)
+    [n = 2, i1 = j]. [keep] must be in [\[0, 1\]]. Sweeps the union of
+    the two rows' bands, which becomes [dst]'s band. *)
 
 val preferred_clusters : t -> int array
 (** Snapshot of every instruction's preferred cluster. *)
@@ -177,8 +214,11 @@ val validate_touched : t -> (unit, string) result
 
 val check_invariants : t -> (unit, string) result
 (** Verifies range, row sums (post-normalization), and consistency of
-    all three marginal caches against freshly recomputed sums; used by
-    tests and assertions. *)
+    all three marginal caches against freshly recomputed sums; that
+    every entry outside its row's band is zero; and that every time
+    marginal outside the row's time-marginal extent (the band plus the
+    slots {!mask_time_window} zeroed since the last rebuild) is zero.
+    Used by tests and assertions. *)
 
 val pp_cluster_map : Format.formatter -> t -> unit
 (** ASCII rendering of the cluster-preference map in the style of the

@@ -697,8 +697,10 @@ let test_serve_survives_client_gone_before_reply () =
 (* More idle connections than OCaml allows domains (128): the readers
    that cannot be spawned cost their connection, never the server. Each
    connection pings first, so the server has accepted it before the
-   next one opens; past the limit the ping meets EOF instead of a pong,
-   and once one goes unanswered the rest just connect. *)
+   next one opens; past the limit the ping meets EOF or a closed socket
+   (EPIPE on the write) instead of a pong, and once one goes unanswered
+   the rest just connect. Whatever happens, the connections are closed
+   and the server stopped, so no domain outlives the test. *)
 let test_serve_survives_domain_limit () =
   let socket = tmp_path (Printf.sprintf "cs_svc_idle_%d.sock" (Unix.getpid ())) in
   let addr = Cs_svc.Transport.parse_exn socket in
@@ -707,29 +709,47 @@ let test_serve_survives_domain_limit () =
   let ping = Cs_svc.Proto.stats_line () ^ "\n" in
   let buf = Bytes.create 4096 in
   let pinging = ref true in
-  let open_idle _ =
+  let idle = ref [] in
+  let close_idle () =
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !idle;
+    idle := []
+  in
+  let open_idle () =
     let fd = Cs_svc.Transport.connect addr in
+    idle := fd :: !idle;
     if !pinging then begin
       Unix.setsockopt_float fd SO_RCVTIMEO 2.0;
-      ignore (Unix.write_substring fd ping 0 (String.length ping));
-      pinging := (try Unix.read fd buf 0 (Bytes.length buf) > 0 with Unix.Unix_error _ -> false)
-    end;
-    fd
+      pinging :=
+        try
+          ignore (Unix.write_substring fd ping 0 (String.length ping));
+          Unix.read fd buf 0 (Bytes.length buf) > 0
+        with Unix.Unix_error _ -> false
+    end
   in
-  let idle = List.init 140 open_idle in
-  List.iter Unix.close idle;
-  (* readers see EOF and are joined on the next accept; until then a
-     probe may itself find no domain to read it *)
-  let deadline = Unix.gettimeofday () +. 20.0 in
-  let rec probe () =
-    ping_answered addr
-    || Unix.gettimeofday () < deadline && (Unix.sleepf 0.1; probe ())
+  let run_result = ref (Ok ()) in
+  let answered =
+    Fun.protect
+      ~finally:(fun () ->
+        close_idle ();
+        Cs_svc.Server.stop server;
+        match Domain.join runner with () -> () | exception e -> run_result := Error e)
+      (fun () ->
+        for _ = 1 to 140 do
+          open_idle ()
+        done;
+        close_idle ();
+        (* readers see EOF and are joined on the next accept; until then a
+           probe may itself find no domain to read it *)
+        let deadline = Unix.gettimeofday () +. 20.0 in
+        let rec probe () =
+          ping_answered addr
+          || Unix.gettimeofday () < deadline && (Unix.sleepf 0.1; probe ())
+        in
+        probe ())
   in
-  let answered = probe () in
-  Cs_svc.Server.stop server;
-  (match Domain.join runner with
-  | () -> ()
-  | exception e -> Alcotest.failf "Server.run raised %s" (Printexc.to_string e));
+  (match !run_result with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "Server.run raised %s" (Printexc.to_string e));
   Alcotest.(check bool) "ping answered after the idle connections closed" true
     answered;
   Alcotest.(check bool) "socket file removed on drain" false (Sys.file_exists socket)

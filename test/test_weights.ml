@@ -176,6 +176,45 @@ let test_validate_gate () =
     (Invalid_argument "Weights.set: weight must be finite and >= 0") (fun () ->
       Weights.set w 1 0 0 Float.nan)
 
+(* The band follows the kernels: masking narrows it, blend takes the
+   union, a nonzero set outside widens it, the uniform reset restores
+   every slot, and a non-finite factor is refused even on an empty row. *)
+let test_bands () =
+  let band = Alcotest.(check (pair int int)) in
+  let w = Weights.create ~n:3 ~nc:2 ~nt:8 in
+  band "fresh row spans every slot" (0, 7) (Weights.band w 0);
+  Weights.mask_time_window w 0 ~lo:2 ~hi:4;
+  Weights.mask_time_window w 1 ~lo:5 ~hi:6;
+  band "mask narrows" (2, 4) (Weights.band w 0);
+  Weights.mask_time_window w 0 ~lo:3 ~hi:9;
+  band "only ever narrows" (3, 4) (Weights.band w 0);
+  Weights.normalize_all w;
+  check_bool "invariants after masking" true (ok_invariants w);
+  Weights.blend w ~dst:0 ~src:1 ~keep:0.5;
+  band "blend takes the union" (3, 6) (Weights.band w 0);
+  Weights.set w 1 1 0 0.25;
+  band "nonzero set outside widens" (0, 6) (Weights.band w 1);
+  Weights.set w 2 0 0 0.0;
+  band "zero set stays inside" (0, 7) (Weights.band w 2);
+  Weights.normalize_all w;
+  check_bool "invariants after widening" true (ok_invariants w);
+  Weights.mask_time_window w 2 ~lo:5 ~hi:4;
+  band "inverted window empties" (8, -1) (Weights.band w 2);
+  Weights.scale_cluster w 2 0 (-2.0);
+  check_float "negative factor on an empty row is a no-op" 0.0 (Weights.row_total w 2);
+  List.iter
+    (fun (name, f) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Weights.set: weight must be finite and >= 0") f)
+    [ ("scale_cluster inf on empty row", fun () -> Weights.scale_cluster w 2 1 infinity);
+      ("scale_time nan on empty row", fun () -> Weights.scale_time w 2 3 Float.nan);
+      ( "scale_clusters -inf on empty row",
+        fun () -> Weights.scale_clusters w 2 [| 1.0; neg_infinity |] ) ];
+  Weights.normalize w 2;
+  band "uniform reset restores every slot" (0, 7) (Weights.band w 2);
+  check_float "uniform entry" (1.0 /. 16.0) (Weights.get w 2 1 7);
+  check_bool "invariants after reset" true (ok_invariants w)
+
 let test_preferred_clusters_snapshot () =
   let w = Weights.create ~n:3 ~nc:2 ~nt:1 in
   Weights.set w 1 1 0 0.9;
@@ -228,34 +267,45 @@ let test_normalize_touched_only_touched () =
   check_bool "invariants" true (ok_invariants w)
 
 let test_sync_rows_restores_exact_rows () =
-  let w = Weights.create ~n:4 ~nc:2 ~nt:2 in
+  let w = Weights.create ~n:4 ~nc:2 ~nt:4 in
   Weights.scale_cluster w 0 1 4.0;
   Weights.scale_cluster w 2 0 7.0;
+  Weights.mask_time_window w 1 ~lo:1 ~hi:2;
   Weights.normalize_all w;
   let snapshot = Weights.copy w in
   Weights.clear_touched w;
   Weights.scale_cluster w 1 0 9.0;
+  (* A write outside row 1's band widens it; rollback must clear it. *)
+  Weights.set w 1 1 3 0.5;
   Weights.scale_cluster w 3 1 5.0;
   Weights.normalize_touched w;
   Alcotest.(check (list int)) "pass wrote rows 1,3" [ 1; 3 ] (Weights.touched_rows w);
   (* Rollback: only the touched rows come back from the snapshot. *)
   Weights.sync_rows ~rows:(Weights.touched_rows w) ~src:snapshot ~dst:w;
   for i = 0 to 3 do
+    Alcotest.(check (pair int int)) "band restored" (Weights.band snapshot i)
+      (Weights.band w i);
     for c = 0 to 1 do
-      for t = 0 to 1 do
+      for t = 0 to 3 do
         check_bool "entry bit-identical" true
           (Weights.get w i c t = Weights.get snapshot i c t)
       done;
       check_bool "marginal bit-identical" true
         (Weights.cluster_weight w i c = Weights.cluster_weight snapshot i c)
+    done;
+    for t = 0 to 3 do
+      check_bool "time marginal bit-identical" true
+        (Weights.time_weight w i t = Weights.time_weight snapshot i t)
     done
   done;
   check_bool "caches consistent" true (ok_invariants w)
 
 (* --- Property suites, run against both implementations ------------- *)
 
-(* One generated op per kernel in the public API; every produced value
-   stays finite and non-negative so the sequence is always legal. *)
+(* One generated op per kernel in the public API. Scaling factors are
+   mostly ordinary, but also negative (-0.0 included) and non-finite,
+   so an op may raise part way through; the sequence goes on from the
+   state it left. *)
 type op =
   | Set of int * int * int * float
   | Add of int * int * int * float
@@ -273,34 +323,60 @@ let pn = 4
 let pnc = 3
 let pnt = 5
 
-let op_gen =
+let factor_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, float_bound_inclusive 5.0);
+        (1, map Float.neg (float_bound_inclusive 5.0));
+        (1, oneofl [ -0.0; Float.infinity; Float.neg_infinity; Float.nan ]);
+      ])
+
+let scale_gen i =
+  QCheck.Gen.(
+    let c = int_bound (pnc - 1) and t = int_bound (pnt - 1) in
+    frequency
+      [
+        (1, map (fun (c, f) -> Scale_cluster (i, c, f)) (pair c factor_gen));
+        (1, map (fun (t, f) -> Scale_time (i, t, f)) (pair t factor_gen));
+        ( 1,
+          map
+            (fun fs -> Scale_clusters (i, Array.of_list fs))
+            (list_repeat pnc factor_gen) );
+      ])
+
+(* Ops come in short groups, so a row emptied by an inverted window is
+   often scaled right away, before anything refills it. *)
+let op_group_gen =
   QCheck.Gen.(
     let i = int_bound (pn - 1) and c = int_bound (pnc - 1) and t = int_bound (pnt - 1) in
     let v = float_bound_inclusive 5.0 in
+    let one g = map (fun op -> [ op ]) g in
     frequency
       [
-        (3, map (fun (i, c, t, v) -> Set (i, c, t, v)) (tup4 i c t v));
-        (3, map (fun (i, c, t, v) -> Add (i, c, t, v)) (tup4 i c t v));
-        (3, map (fun (i, c, t, v) -> Scale (i, c, t, v)) (tup4 i c t v));
-        (2, map (fun (i, c, v) -> Scale_cluster (i, c, v)) (tup3 i c v));
-        (2, map (fun (i, t, v) -> Scale_time (i, t, v)) (tup3 i t v));
-        ( 2,
-          map
-            (fun (i, fs) -> Scale_clusters (i, Array.of_list fs))
-            (tup2 i (list_repeat pnc v)) );
-        (2, map (fun (i, f) -> Map_row (i, f)) (tup2 i v));
+        (3, one (map (fun (i, c, t, v) -> Set (i, c, t, v)) (tup4 i c t v)));
+        (3, one (map (fun (i, c, t, v) -> Add (i, c, t, v)) (tup4 i c t v)));
+        (3, one (map (fun (i, c, t, v) -> Scale (i, c, t, v)) (tup4 i c t v)));
+        (6, one (i >>= scale_gen));
+        (2, one (map (fun (i, f) -> Map_row (i, f)) (tup2 i v)));
         (* -1..pnt: empty, inverted and out-of-range windows included. *)
         ( 2,
           let bound = int_range (-1) pnt in
-          map (fun (i, lo, hi) -> Mask_time_window (i, lo, hi)) (tup3 i bound bound) );
+          one (map (fun (i, lo, hi) -> Mask_time_window (i, lo, hi)) (tup3 i bound bound)) );
         ( 2,
-          map (fun (d, s, k) -> Blend (d, s, k)) (tup3 i i (float_bound_inclusive 1.0))
+          i >>= fun i ->
+          map2
+            (fun t scale -> [ Mask_time_window (i, t + 1, t); scale ])
+            (int_range (-1) (pnt - 1)) (scale_gen i) );
+        ( 2,
+          one
+            (map (fun (d, s, k) -> Blend (d, s, k)) (tup3 i i (float_bound_inclusive 1.0)))
         );
-        (1, map (fun i -> Normalize i) i);
-        (1, return Normalize_all);
+        (1, one (map (fun i -> Normalize i) i));
+        (1, one (return Normalize_all));
       ])
 
-let ops_gen = QCheck.Gen.(list_size (int_bound 60) op_gen)
+let ops_gen = QCheck.Gen.(map List.concat (list_size (int_bound 60) op_group_gen))
 
 let apply_op w = function
   | Set (i, c, t, v) -> Weights.set w i c t v
@@ -328,9 +404,12 @@ let apply_ref r = function
   | Normalize i -> Weights_ref.normalize r i
   | Normalize_all -> Weights_ref.normalize_all r
 
+(* Runs an op, returning the exception it raised, if any. *)
+let outcome f = match f () with () -> None | exception e -> Some e
+
 let run_ops ops =
   let w = Weights.create ~n:pn ~nc:pnc ~nt:pnt in
-  List.iter (apply_op w) ops;
+  List.iter (fun op -> ignore (outcome (fun () -> apply_op w op))) ops;
   w
 
 (* ISSUE invariants, checked directly (not only via check_invariants):
@@ -374,33 +453,44 @@ let test_ops_invariants_qcheck =
   to_alcotest prop
 
 (* The fused kernels against the per-element reference: the same FP
-   ops in the same order, so every entry, every marginal and every
-   touched flag must be *bit*-identical after any op sequence (no
-   epsilon anywhere). *)
+   ops in the same order, so after every op both sides must have
+   raised the same exception (or none) and hold bit-identical entries,
+   marginals and touched flags (no epsilon anywhere), and agree on
+   every row's preferred cluster and slot. The banded side
+   must also hold +0.0 at every slot outside each row's band. *)
 let test_ops_reference_qcheck =
   let prop =
     QCheck.Test.make ~count:1000 ~name:"flat = reference, bit for bit"
       (QCheck.make ops_gen)
       (fun ops ->
-        let w = run_ops ops in
+        let w = Weights.create ~n:pn ~nc:pnc ~nt:pnt in
         let r = Weights_ref.create ~n:pn ~nc:pnc ~nt:pnt in
-        List.iter (apply_ref r) ops;
         let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
         let ok = ref true in
         let expect b = if not b then ok := false in
-        for i = 0 to pn - 1 do
-          expect (Weights.is_touched w i = Weights_ref.is_touched r i);
-          expect (same (Weights.row_total w i) (Weights_ref.row_total r i));
-          for c = 0 to pnc - 1 do
-            expect (same (Weights.cluster_weight w i c) (Weights_ref.cluster_weight r i c));
-            for t = 0 to pnt - 1 do
-              expect (same (Weights.get w i c t) (Weights_ref.get r i c t))
-            done
-          done;
-          for t = 0 to pnt - 1 do
-            expect (same (Weights.time_weight w i t) (Weights_ref.time_weight r i t))
-          done
-        done;
+        List.iter
+          (fun op ->
+            let raised = outcome (fun () -> apply_op w op) in
+            expect (raised = outcome (fun () -> apply_ref r op));
+            for i = 0 to pn - 1 do
+              let lo, hi = Weights.band w i in
+              expect (Weights.is_touched w i = Weights_ref.is_touched r i);
+              expect (Weights.preferred_cluster w i = Weights_ref.preferred_cluster r i);
+              expect (Weights.preferred_time w i = Weights_ref.preferred_time r i);
+              expect (same (Weights.row_total w i) (Weights_ref.row_total r i));
+              for c = 0 to pnc - 1 do
+                expect
+                  (same (Weights.cluster_weight w i c) (Weights_ref.cluster_weight r i c));
+                for t = 0 to pnt - 1 do
+                  expect (same (Weights.get w i c t) (Weights_ref.get r i c t));
+                  if t < lo || t > hi then expect (same (Weights.get w i c t) 0.0)
+                done
+              done;
+              for t = 0 to pnt - 1 do
+                expect (same (Weights.time_weight w i t) (Weights_ref.time_weight r i t))
+              done
+            done)
+          ops;
         !ok)
   in
   to_alcotest prop
@@ -412,7 +502,7 @@ let test_ops_dirty_exact_qcheck =
       (fun ops ->
         let w = Weights.create ~n:pn ~nc:pnc ~nt:pnt in
         let before = Weights.copy w in
-        List.iter (apply_op w) ops;
+        List.iter (fun op -> ignore (outcome (fun () -> apply_op w op))) ops;
         (* Every changed row must be flagged: an unflagged row must hold
            exactly its original bits (flagged-but-unchanged is fine — a
            write can overwrite a value with itself, e.g. add x then
@@ -511,6 +601,7 @@ let () =
           Alcotest.test_case "blit restores" `Quick test_blit_restores;
           Alcotest.test_case "validate gate" `Quick test_validate_gate;
           Alcotest.test_case "snapshot" `Quick test_preferred_clusters_snapshot;
+          Alcotest.test_case "bands narrow and widen" `Quick test_bands;
           Alcotest.test_case "cluster map render" `Quick test_pp_cluster_map;
         ] );
       ( "dirty",

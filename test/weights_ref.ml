@@ -40,12 +40,16 @@ let time_weight t i tt = t.time_sum.((i * t.nt) + tt)
 let row_total t i = t.row_total.(i)
 let is_touched t i = t.touched.(i)
 
+(* A value equal to the stored one stores nothing, and a stored zero is
+   always +0.0: a zero scaled by a negative factor, or a positive entry
+   scaled by -0.0, leaves +0.0 behind. *)
 let set t i c tt v =
-  if (not (Float.is_finite v)) || v < 0.0 then invalid_arg "Weights_ref.set";
+  if (not (Float.is_finite v)) || v < 0.0 then
+    invalid_arg "Weights.set: weight must be finite and >= 0";
   let k = idx t i c tt in
   let delta = v -. t.data.(k) in
-  t.data.(k) <- v;
   if delta <> 0.0 then begin
+    t.data.(k) <- (if v = 0.0 then 0.0 else v);
     let ci = (i * t.nc) + c and ti = (i * t.nt) + tt in
     t.cluster_sum.(ci) <- t.cluster_sum.(ci) +. delta;
     t.time_sum.(ti) <- t.time_sum.(ti) +. delta;
@@ -134,3 +138,15 @@ let blend t ~dst ~src ~keep =
     t.touched.(dst) <- true;
     recompute_row t dst
   end
+
+(* First index of the largest value over all slots (or clusters); a
+   later value wins only by more than 1e-12. *)
+let argmax count value =
+  let best = ref 0 in
+  for k = 1 to count - 1 do
+    if value k > value !best +. 1e-12 then best := k
+  done;
+  !best
+
+let preferred_cluster t i = argmax t.nc (cluster_weight t i)
+let preferred_time t i = argmax t.nt (time_weight t i)
