@@ -15,7 +15,7 @@ let mix () =
       Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
     in
     bump shapes s.Cs_check.Scenario.label;
-    bump machines (Cs_check.Scenario.machine_name s.Cs_check.Scenario.machine)
+    bump machines s.Cs_check.Scenario.machine.Cs_machine.Machine.name
   done;
   let dump title tbl =
     let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in

@@ -14,25 +14,10 @@ open Cmdliner
 
 (* --- shared argument parsing --- *)
 
-let machine_of_string s =
-  match String.lowercase_ascii s with
-  | "vliw" | "vliw4" -> Ok (Cs_machine.Vliw.create ~n_clusters:4 ())
-  | "vliw1" -> Ok (Cs_machine.Vliw.single_cluster ())
-  | other ->
-    let parse_int prefix =
-      let plen = String.length prefix in
-      if String.length other > plen && String.sub other 0 plen = prefix then
-        int_of_string_opt (String.sub other plen (String.length other - plen))
-      else None
-    in
-    (match (parse_int "raw", parse_int "vliw") with
-    | Some n, _ when n > 0 -> Ok (Cs_machine.Raw.with_tiles n)
-    | _, Some n when n > 0 -> Ok (Cs_machine.Vliw.create ~n_clusters:n ())
-    | _ -> Error (`Msg (Printf.sprintf "unknown machine %S (try raw16, raw4, vliw4)" s)))
-
 let machine_conv =
+  let parse s = Result.map_error (fun e -> `Msg e) (Cs_machine.Target.of_name s) in
   let printer fmt m = Format.fprintf fmt "%s" m.Cs_machine.Machine.name in
-  Arg.conv (machine_of_string, printer)
+  Arg.conv (parse, printer)
 
 let benchmark_conv =
   let parse s =
@@ -59,7 +44,7 @@ let benchmark_arg =
   Arg.(required & opt (some benchmark_conv) None & info [ "b"; "benchmark" ] ~doc:"Benchmark name.")
 
 let machine_arg =
-  Arg.(value & opt machine_conv (Cs_machine.Raw.with_tiles 16) & info [ "m"; "machine" ] ~doc:"Target machine (raw<N>, vliw<N>).")
+  Arg.(value & opt machine_conv (Cs_machine.Raw.with_tiles 16) & info [ "m"; "machine" ] ~doc:"Target machine: raw<N>, raw-RxC, vliw<N> or vliw-Nc (README, \"Machine names\").")
 
 let scheduler_arg =
   Arg.(value & opt scheduler_conv Cs_sim.Pipeline.Convergent & info [ "s"; "scheduler" ] ~doc:"Scheduler: convergent, rawcc, uas, pcc, bug.")
@@ -992,11 +977,11 @@ let fuzz_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
+      & info [ "checkpoint" ] ~docv:"DIR"
           ~doc:
-            "Journal completed seed chunks to $(docv) (crash-safe); a run killed \
-             mid-search can continue with --resume and produce bit-identical \
-             findings.")
+            "Journal completed seed chunks to a write-ahead log in directory $(docv) \
+             (crash-safe); a run killed mid-search can continue with --resume and \
+             produce bit-identical findings.")
   in
   let fuzz_resume_arg =
     Arg.(
@@ -1004,7 +989,8 @@ let fuzz_cmd =
       & info [ "resume" ]
           ~doc:
             "Skip the seeds already covered by the --checkpoint journal (falls back \
-             to a fresh run when the journal does not match the seed range).")
+             to a fresh run when the journal does not match the seed range or \
+             --degraded).")
   in
   let fuzz_summary_arg =
     Arg.(
@@ -1063,7 +1049,7 @@ let fuzz_cmd =
       exit 1
     end;
     if resume && checkpoint = None then begin
-      Printf.eprintf "fuzz: --resume needs --checkpoint FILE\n";
+      Printf.eprintf "fuzz: --resume needs --checkpoint DIR\n";
       exit 1
     end;
     with_trace ~trace_out @@ fun () ->
@@ -1073,17 +1059,31 @@ let fuzz_cmd =
       let lo, hi = seeds in
       let journal =
         Option.map
-          (fun path ->
-            if resume then Cs_check.Journal.resume ~path ~degraded ~seeds ()
-            else Cs_check.Journal.create ~path ~degraded ~seeds ())
+          (fun dir ->
+            match Cs_check.Journal.open_dir ~resume ~dir ~degraded ~seeds () with
+            | Ok j -> j
+            | Error msg ->
+              Printf.eprintf "fuzz: %s\n" msg;
+              exit 1)
           checkpoint
       in
-      Printf.printf "fuzzing seeds %d..%d (%d domain%s%s%s)\n%!" lo hi domains
+      let journaled =
+        match journal with
+        | Some j when resume ->
+          let n = ref 0 in
+          for seed = lo to hi do
+            if Cs_check.Journal.is_done j seed then incr n
+          done;
+          Printf.sprintf ", %d journaled" !n
+        | _ -> ""
+      in
+      Printf.printf "fuzzing seeds %d..%d (%d domain%s%s%s%s)\n%!" lo hi domains
         (if domains = 1 then "" else "s")
         (match budget with
         | None -> ""
         | Some b -> Printf.sprintf ", budget %.0fs" b)
-        (if degraded then ", degraded machines" else "");
+        (if degraded then ", degraded machines" else "")
+        journaled;
       let stats, found =
         Cs_check.Fuzz.run ~domains ?time_budget_s:budget ?corpus_dir:corpus
           ~shrink:(not no_shrink) ~degraded ?journal
@@ -1097,6 +1097,7 @@ let fuzz_cmd =
               | Some p -> " -> " ^ p))
           ~seeds ()
       in
+      Option.iter Cs_check.Journal.close journal;
       Option.iter
         (fun path ->
           Out_channel.with_open_text path (fun oc ->
@@ -1481,7 +1482,7 @@ let submit_cmd =
   let machine_name_arg =
     Arg.(
       value & opt string "raw16"
-      & info [ "m"; "machine" ] ~doc:"Target machine name sent with each job.")
+      & info [ "m"; "machine" ] ~doc:"Target machine name sent with each job, in the grammar of run's -m (README, \"Machine names\").")
   in
   let scheduler_name_arg =
     Arg.(

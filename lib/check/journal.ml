@@ -1,119 +1,62 @@
 (* Fuzz-run journal: which seed chunks have completed and which seeds
-   produced violations. Workers record each finished chunk under a
-   mutex; every record rewrites the whole file crash-safely (it is a
-   few hundred bytes), so a SIGKILL mid-run loses at most the chunks
-   still in flight. Scenarios are deterministic functions of their
-   seed, so the journal never stores regions — a resumed run
-   regenerates violation scenarios from their seeds. *)
+   produced violations, as space-separated integer records in a WAL:
+
+     fuzz-journal 2 <lo> <hi> <degraded 0|1>
+     chunk <lo> <hi> <violation seed>...
+
+   Scenarios are deterministic functions of their seed, so the journal
+   never stores regions: a resumed run regenerates violation scenarios
+   from their seeds. *)
+
+module Wal = Cs_util.Wal
 
 type t = {
-  path : string;
-  seeds : int * int;
-  degraded : bool;
+  wal : Wal.t;
   mutex : Mutex.t;
   mutable chunks : (int * int) list; (* completed inclusive seed ranges *)
   mutable violations : int list; (* seeds whose oracle run rejected *)
 }
 
-let version = 1
+let header ~degraded (lo, hi) =
+  Printf.sprintf "fuzz-journal 2 %d %d %d" lo hi (Bool.to_int degraded)
 
-let to_json t =
-  let open Cs_obs.Json in
-  let lo, hi = t.seeds in
-  Obj
-    [ ("version", Num (float_of_int version));
-      ("kind", Str "fuzz");
-      ("seeds", List [ Num (float_of_int lo); Num (float_of_int hi) ]);
-      ("degraded", Bool t.degraded);
-      ("chunks",
-       List
-         (List.rev_map
-            (fun (a, b) -> List [ Num (float_of_int a); Num (float_of_int b) ])
-            t.chunks));
-      ("violations",
-       List (List.rev_map (fun s -> Num (float_of_int s)) t.violations)) ]
+let note t chunk violations =
+  t.chunks <- chunk :: t.chunks;
+  t.violations <- List.rev_append violations t.violations
 
-let write t = Cs_util.Fsio.write_atomic ~path:t.path (Cs_obs.Json.to_string (to_json t) ^ "\n")
+let replay t payload =
+  match String.split_on_char ' ' payload with
+  | "chunk" :: rest ->
+    (match List.filter_map int_of_string_opt rest with
+    | lo :: hi :: violations -> note t (lo, hi) violations
+    | _ -> ())
+  | _ -> ()
 
-let create ~path ?(degraded = false) ~seeds () =
-  let t = { path; seeds; degraded; mutex = Mutex.create (); chunks = []; violations = [] } in
-  write t;
-  t
+let open_dir ?(resume = false) ~dir ?(degraded = false) ~seeds () =
+  match Wal.open_dir ~dir () with
+  | exception Unix.Unix_error (err, _, _) ->
+    Error (Printf.sprintf "journal %s: %s" dir (Unix.error_message err))
+  | exception Sys_error msg -> Error ("journal " ^ msg)
+  | wal, recovery ->
+    let t = { wal; mutex = Mutex.create (); chunks = []; violations = [] } in
+    (match recovery.Wal.records with
+    | first :: records when resume && first = header ~degraded seeds ->
+      List.iter (replay t) records
+    | _ ->
+      Wal.reset wal;
+      Wal.append_sync wal (header ~degraded seeds));
+    Ok t
 
-let ( let* ) = Result.bind
-
-let int_pair = function
-  | Cs_obs.Json.List [ Cs_obs.Json.Num a; Cs_obs.Json.Num b ] ->
-    Ok (int_of_float a, int_of_float b)
-  | _ -> Error "journal: expected [lo, hi] pair"
-
-let load ~path =
-  match Cs_util.Fsio.read_opt path with
-  | None -> Error (Printf.sprintf "journal: %s does not exist" path)
-  | Some content ->
-    let* json =
-      match Cs_obs.Json.of_string content with
-      | Ok j -> Ok j
-      | Error e -> Error (Printf.sprintf "journal: %s: %s" path e)
-    in
-    let* () =
-      match Cs_obs.Json.member "version" json with
-      | Some (Cs_obs.Json.Num v) when int_of_float v = version -> Ok ()
-      | _ -> Error "journal: unsupported version"
-    in
-    let* seeds =
-      match Cs_obs.Json.member "seeds" json with
-      | Some p -> int_pair p
-      | None -> Error "journal: missing seeds"
-    in
-    let degraded =
-      match Cs_obs.Json.member "degraded" json with
-      | Some (Cs_obs.Json.Bool b) -> b
-      | _ -> false
-    in
-    let* chunks =
-      match Cs_obs.Json.member "chunks" json with
-      | Some (Cs_obs.Json.List l) ->
-        List.fold_left
-          (fun acc c ->
-            let* acc = acc in
-            let* p = int_pair c in
-            Ok (p :: acc))
-          (Ok []) l
-      | _ -> Error "journal: missing chunks"
-    in
-    let* violations =
-      match Cs_obs.Json.member "violations" json with
-      | Some (Cs_obs.Json.List l) ->
-        List.fold_left
-          (fun acc v ->
-            let* acc = acc in
-            match v with
-            | Cs_obs.Json.Num s -> Ok (int_of_float s :: acc)
-            | _ -> Error "journal: non-numeric violation seed")
-          (Ok []) l
-      | _ -> Error "journal: missing violations"
-    in
-    Ok { path; seeds; degraded; mutex = Mutex.create (); chunks; violations }
-
-let resume ~path ?(degraded = false) ~seeds () =
-  match load ~path with
-  | Ok t when t.seeds = seeds && t.degraded = degraded -> t
-  | Ok _ | Error _ ->
-    (* Mismatched parameters (or a corrupt file) cannot be resumed
-       meaningfully: start a fresh journal for this configuration. *)
-    create ~path ~degraded ~seeds ()
-
-let record t ~chunk ~violations =
+let record t ~chunk:(lo, hi) ~violations =
+  Wal.append_sync t.wal
+    (String.concat " " ("chunk" :: List.map string_of_int (lo :: hi :: violations)));
   Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      t.chunks <- chunk :: t.chunks;
-      t.violations <- List.rev_append violations t.violations;
-      write t)
+  note t (lo, hi) violations;
+  Mutex.unlock t.mutex
 
 let is_done t seed =
   List.exists (fun (lo, hi) -> lo <= seed && seed <= hi) t.chunks
 
 let violation_seeds t = List.sort_uniq compare t.violations
+
+let close t = Wal.close t.wal

@@ -22,7 +22,7 @@ let fingerprint (scenario : Scenario.t) =
 let to_string t =
   let b = Buffer.create 512 in
   Buffer.add_string b "cs-check-repro v1\n";
-  Buffer.add_string b (header_line "machine" (Scenario.machine_name t.scenario.Scenario.machine));
+  Buffer.add_string b (header_line "machine" t.scenario.Scenario.machine.Cs_machine.Machine.name);
   Buffer.add_string b (header_line "scheduler" (Scenario.spec_to_string t.scenario.Scenario.spec));
   Buffer.add_string b (header_line "seed" (string_of_int t.scenario.Scenario.seed));
   if t.scenario.Scenario.faults <> [] then
@@ -104,7 +104,7 @@ let of_string s =
           let key, value = split_header line in
           match key with
           | "machine" ->
-            (match Scenario.machine_of_name value with
+            (match Cs_machine.Target.of_name value with
             | Ok m -> parse_headers (Some m) spec seed faults label check note fp rest
             | Error msg -> Error msg)
           | "scheduler" ->

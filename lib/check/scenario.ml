@@ -11,26 +11,7 @@ type t = {
   spec : spec;
 }
 
-let machine_name m = m.Cs_machine.Machine.name
-
 let scheduling_machine t = Cs_machine.Machine.degrade t.machine t.faults
-
-let machine_of_name name =
-  let fail () = Error (Printf.sprintf "unknown machine %S (want raw-RxC or vliw-Nc)" name) in
-  match String.split_on_char '-' (String.lowercase_ascii (String.trim name)) with
-  | [ "raw"; dims ] ->
-    (match String.split_on_char 'x' dims with
-    | [ r; c ] ->
-      (match (int_of_string_opt r, int_of_string_opt c) with
-      | Some rows, Some cols when rows > 0 && cols > 0 ->
-        Ok (Cs_machine.Raw.create ~rows ~cols ())
-      | _ -> fail ())
-    | _ -> fail ())
-  | [ "vliw"; nc ] when String.length nc > 1 && nc.[String.length nc - 1] = 'c' ->
-    (match int_of_string_opt (String.sub nc 0 (String.length nc - 1)) with
-    | Some n when n > 0 -> Ok (Cs_machine.Vliw.create ~n_clusters:n ())
-    | _ -> fail ())
-  | _ -> fail ()
 
 let spec_to_string = function
   | Baseline s -> "baseline:" ^ Cs_sim.Pipeline.scheduler_name s
@@ -55,7 +36,7 @@ let spec_of_string s =
 
 let pp fmt t =
   Format.fprintf fmt "%s (seed %d): %d instrs on %s%s via %s" t.label t.seed
-    (Cs_ddg.Region.n_instrs t.region) (machine_name t.machine)
+    (Cs_ddg.Region.n_instrs t.region) t.machine.Cs_machine.Machine.name
     (if t.faults = [] then ""
      else Printf.sprintf " [%s]" (Cs_resil.Fault.to_string t.faults))
     (spec_to_string t.spec)

@@ -26,12 +26,6 @@ val scheduling_machine : t -> Cs_machine.Machine.t
 (** [machine] degraded by [faults] — what the scheduler actually
     targets. Identical to [machine] when the plan is empty. *)
 
-val machine_name : Cs_machine.Machine.t -> string
-(** The machine's canonical name ([raw-RxC] / [vliw-Nc]); inverse of
-    {!machine_of_name}. *)
-
-val machine_of_name : string -> (Cs_machine.Machine.t, string) result
-
 val spec_to_string : spec -> string
 (** [baseline:<name>] or [passes:<SPEC,...>] — round-trips through
     {!spec_of_string}, parameters included. *)

@@ -302,38 +302,6 @@ let server_stats t =
 
 let send_reply conn reply = Wire.send_line conn (Proto.reply_to_line reply)
 
-(* --- cache key ----------------------------------------------------- *)
-
-(* The cache key is the canonical scenario identity, not the request
-   text: two requests naming the same machine through different aliases,
-   or carrying different ids/deadlines, resolve to the same key. A
-   request that does not resolve gets a typed local refusal — no shard
-   hop for garbage. *)
-let scenario_key (r : Proto.request) =
-  let ( let* ) = Result.bind in
-  let* machine =
-    Proto.machine_of_name r.Proto.machine
-    |> Result.map_error (fun e -> Cs_resil.Error.Invalid_input e)
-  in
-  let* entry =
-    match Cs_workloads.Suite.find r.Proto.bench with
-    | Some e -> Ok e
-    | None ->
-      Error
-        (Cs_resil.Error.Invalid_input
-           (Printf.sprintf "unknown benchmark %S" r.Proto.bench))
-  in
-  let region =
-    entry.Cs_workloads.Suite.generate ~scale:r.Proto.scale
-      ~clusters:(Cs_machine.Machine.n_clusters machine) ()
-  in
-  let spec =
-    Printf.sprintf "scheduler %s passes %s seed %s" r.Proto.scheduler
-      (Option.value ~default:"default" r.Proto.passes)
-      (match r.Proto.seed with Some s -> string_of_int s | None -> "-")
-  in
-  Ok (Cs_core.Scenario.hex (Cs_core.Scenario.canonical_hash ~spec ~machine region))
-
 (* Only full-quality schedules are cached: an anytime early exit or a
    refusal is a property of that moment's load, not of the scenario. *)
 let cacheable (reply : Proto.reply) =
@@ -497,9 +465,12 @@ let handle_job t (r : Proto.request) ~arrival ~send =
         Proto.reply_id = r.Proto.id;
         queue_depth = Some (Squeue.length t.queue) }
   in
-  match scenario_key r with
+  (* A request that does not resolve is refused here: no journal
+     admit, no cache lookup, no shard hop. *)
+  match Cs_svc.Job.resolve r with
   | Error err -> answer (Proto.refused ~id:r.Proto.id err)
-  | Ok key ->
+  | Ok resolved ->
+    let key = Cs_svc.Job.key resolved in
     let jkey = journal_key ~key r in
     let journal_hit =
       match t.journal with

@@ -5,9 +5,9 @@
     clients ([csched submit], {!Cs_svc.Client}) point at the gateway
     unchanged. For every job request the gateway
 
-    + computes the job's canonical scenario hash
-      ({!Cs_core.Scenario.canonical_hash} over the resolved machine,
-      region, scheduler/pass spec and seed),
+    + resolves the job with {!Cs_svc.Job.resolve}, the shard's own
+      resolver, refusing what does not resolve on the spot, and keys it
+      with {!Cs_svc.Job.key} (the canonical scenario hash),
     + answers from a bounded LRU {!Cache} when the same scenario was
       already scheduled ([cached = true] on the reply, no shard hop),
     + otherwise walks the {!Policy}-ordered live shards and forwards

@@ -14,35 +14,54 @@ let admit ?default_deadline_ms (request : Proto.request) =
 
 let ( let* ) = Result.bind
 
-let parse_passes spec =
-  Cs_core.Sequence.of_names (String.split_on_char ',' spec)
-  |> Result.map_error (fun e -> Cs_resil.Error.Invalid_input e)
+type resolved = {
+  machine : Cs_machine.Machine.t;
+  region : Cs_ddg.Region.t;
+  scheduler : Cs_sim.Pipeline.scheduler;
+  passes : Cs_core.Pass.t list option;
+  spec : string;
+}
 
-(* Resolve the request's named pieces against the registries. All
-   failures come back as typed [Invalid_input] so the service replies
-   with a refusal instead of tearing down the worker. *)
+let invalid_input r = Result.map_error (fun e -> Cs_resil.Error.Invalid_input e) r
+
+(* Resolve the request's named pieces against the registries and
+   generate its region. All failures come back as typed
+   [Invalid_input] so the service replies with a refusal instead of
+   tearing down the worker. *)
 let resolve (r : Proto.request) =
-  let* machine =
-    Proto.machine_of_name r.machine
-    |> Result.map_error (fun e -> Cs_resil.Error.Invalid_input e)
-  in
+  let* machine = invalid_input (Cs_machine.Target.of_name r.machine) in
   let* entry =
     match Cs_workloads.Suite.find r.bench with
     | Some e -> Ok e
-    | None -> Error (Cs_resil.Error.Invalid_input (Printf.sprintf "unknown benchmark %S" r.bench))
+    | None -> invalid_input (Error (Printf.sprintf "unknown benchmark %S" r.bench))
   in
   let* scheduler =
     match Cs_sim.Pipeline.scheduler_of_name r.scheduler with
     | Some s -> Ok s
-    | None ->
-      Error (Cs_resil.Error.Invalid_input (Printf.sprintf "unknown scheduler %S" r.scheduler))
+    | None -> invalid_input (Error (Printf.sprintf "unknown scheduler %S" r.scheduler))
   in
   let* passes =
     match r.passes with
     | None -> Ok None
-    | Some spec -> Result.map Option.some (parse_passes spec)
+    | Some spec ->
+      invalid_input
+        (Result.map Option.some (Cs_core.Sequence.of_names (String.split_on_char ',' spec)))
   in
-  Ok (machine, entry, scheduler, passes)
+  let region =
+    entry.Cs_workloads.Suite.generate ~scale:r.scale
+      ~clusters:(Cs_machine.Machine.n_clusters machine) ()
+  in
+  (* The key's spec text is part of every journal and cache key
+     already on disk: it must never change. *)
+  let spec =
+    Printf.sprintf "scheduler %s passes %s seed %s" r.scheduler
+      (Option.value ~default:"default" r.passes)
+      (match r.seed with Some s -> string_of_int s | None -> "-")
+  in
+  Ok { machine; region; scheduler; passes; spec }
+
+let key { machine; region; spec; _ } =
+  Cs_core.Scenario.hex (Cs_core.Scenario.canonical_hash ~spec ~machine region)
 
 let run ?retry_policy ?extra_passes ?pass_budget_s job =
   let r = job.request in
@@ -63,11 +82,7 @@ let run ?retry_policy ?extra_passes ?pass_budget_s job =
   else
     match resolve r with
     | Error err -> refuse err
-    | Ok (machine, entry, scheduler, passes) ->
-      let region =
-        entry.Cs_workloads.Suite.generate ~scale:r.scale
-          ~clusters:(Cs_machine.Machine.n_clusters machine) ()
-      in
+    | Ok { machine; region; scheduler; passes; _ } ->
       let passes =
         (* Injected chaos (e.g. a slow pass for SLO drills) applies only
            to convergent sequences — the other schedulers have no pass

@@ -56,23 +56,7 @@ let refused ?(elapsed_ms = 0.0) ~id error =
         { kind = Cs_resil.Error.kind error; message = Cs_resil.Error.message error };
     queue_depth = None; cached = false }
 
-(* --- machine names (mirrors the csched CLI grammar) ---------------- *)
-
-let machine_of_name s =
-  match String.lowercase_ascii s with
-  | "vliw" | "vliw4" -> Ok (Cs_machine.Vliw.create ~n_clusters:4 ())
-  | "vliw1" -> Ok (Cs_machine.Vliw.single_cluster ())
-  | other ->
-    let parse_int prefix =
-      let plen = String.length prefix in
-      if String.length other > plen && String.sub other 0 plen = prefix then
-        int_of_string_opt (String.sub other plen (String.length other - plen))
-      else None
-    in
-    (match (parse_int "raw", parse_int "vliw") with
-    | Some n, _ when n > 0 -> Ok (Cs_machine.Raw.with_tiles n)
-    | _, Some n when n > 0 -> Ok (Cs_machine.Vliw.create ~n_clusters:n ())
-    | _ -> Error (Printf.sprintf "unknown machine %S (try raw16, raw4, vliw4)" s))
+let machine_of_name = Cs_machine.Target.of_name
 
 (* --- JSON line codec ----------------------------------------------- *)
 

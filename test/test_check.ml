@@ -13,8 +13,8 @@ let test_gen_deterministic () =
     let a = Cs_check.Gen.case ~seed and b = Cs_check.Gen.case ~seed in
     check_bool "label" true (a.Cs_check.Scenario.label = b.Cs_check.Scenario.label);
     check_bool "machine" true
-      (Cs_check.Scenario.machine_name a.Cs_check.Scenario.machine
-      = Cs_check.Scenario.machine_name b.Cs_check.Scenario.machine);
+      (a.Cs_check.Scenario.machine.Cs_machine.Machine.name
+      = b.Cs_check.Scenario.machine.Cs_machine.Machine.name);
     check_bool "spec" true
       (Cs_check.Scenario.spec_to_string a.Cs_check.Scenario.spec
       = Cs_check.Scenario.spec_to_string b.Cs_check.Scenario.spec);
@@ -38,9 +38,7 @@ let test_gen_covers_shapes_and_machines () =
   for seed = 0 to 120 do
     let s = Cs_check.Gen.case ~seed in
     Hashtbl.replace labels s.Cs_check.Scenario.label ();
-    Hashtbl.replace machines
-      (Cs_check.Scenario.machine_name s.Cs_check.Scenario.machine)
-      ()
+    Hashtbl.replace machines s.Cs_check.Scenario.machine.Cs_machine.Machine.name ()
   done;
   check_bool "several shapes" true (Hashtbl.length labels >= 4);
   check_bool "several machines" true (Hashtbl.length machines >= 5)
@@ -51,8 +49,8 @@ let test_gen_degraded_extends_healthy () =
     let h = Cs_check.Gen.case ~seed and d = Cs_check.Gen.case_degraded ~seed in
     (* Same base draw: only faults and (possibly) a CHAOS pass differ. *)
     check_bool "same machine" true
-      (Cs_check.Scenario.machine_name h.Cs_check.Scenario.machine
-      = Cs_check.Scenario.machine_name d.Cs_check.Scenario.machine);
+      (h.Cs_check.Scenario.machine.Cs_machine.Machine.name
+      = d.Cs_check.Scenario.machine.Cs_machine.Machine.name);
     check_int "same region"
       (Cs_ddg.Region.n_instrs h.Cs_check.Scenario.region)
       (Cs_ddg.Region.n_instrs d.Cs_check.Scenario.region);
@@ -211,8 +209,8 @@ let test_repro_roundtrip () =
     | Error msg -> Alcotest.failf "seed %d: %s" seed msg
     | Ok r' ->
       check_bool "machine" true
-        (Cs_check.Scenario.machine_name r'.Cs_check.Repro.scenario.Cs_check.Scenario.machine
-        = Cs_check.Scenario.machine_name scenario.Cs_check.Scenario.machine);
+        (r'.Cs_check.Repro.scenario.Cs_check.Scenario.machine.Cs_machine.Machine.name
+        = scenario.Cs_check.Scenario.machine.Cs_machine.Machine.name);
       check_bool "spec" true
         (Cs_check.Scenario.spec_to_string r'.Cs_check.Repro.scenario.Cs_check.Scenario.spec
         = Cs_check.Scenario.spec_to_string scenario.Cs_check.Scenario.spec);

@@ -800,6 +800,42 @@ let test_gateway_cache_accounting () =
   Alcotest.(check int) "refusal wave added two misses" 5 st.Gateway.cache_misses;
   Alcotest.(check int) "refusal wave added no hits" 3 st.Gateway.cache_hits
 
+(* A request the shard's resolver would refuse is refused by the
+   gateway itself: no shard hop, no journal admit, no cache lookup. *)
+let test_gateway_refuses_bad_requests_locally () =
+  with_server "127.0.0.1:0" @@ fun s1 ->
+  let dir = journal_dir "refuse" in
+  let cfg =
+    Gateway.config ~forwarders:2 ~probe_period_s:0.2 ~journal_dir:dir ~recover:false
+      ~shards:[ shard_spec s1 ] "127.0.0.1:0"
+  in
+  let jobs =
+    [ Proto.request ~id:"sched" ~machine:"raw4" ~scheduler:"bogus" ~idem_key:"k1" "fir";
+      Proto.request ~id:"passes" ~machine:"raw4" ~passes:"BOGUS" ~idem_key:"k2" "fir" ]
+  in
+  with_gateway cfg (fun gw ->
+      (match Cs_svc.Client.submit ~timeout_s:60.0 ~addr:(Gateway.address gw) jobs with
+      | Error e -> Alcotest.failf "submit failed: %s" e
+      | Ok replies ->
+        Alcotest.(check int) "both answered" 2 (List.length replies);
+        List.iter
+          (fun r ->
+            match r.Proto.verdict with
+            | Proto.Refused e ->
+              Alcotest.(check string) (r.Proto.reply_id ^ " refusal kind") "invalid-input"
+                e.kind
+            | Proto.Scheduled _ -> Alcotest.failf "%s was scheduled" r.Proto.reply_id)
+          replies);
+      let st = Gateway.stats gw in
+      Alcotest.(check int) "nothing forwarded" 0 st.Gateway.forwarded;
+      Alcotest.(check int) "no cache hit" 0 st.Gateway.cache_hits;
+      Alcotest.(check int) "no cache miss" 0 st.Gateway.cache_misses);
+  let wal, recovery = Cs_util.Wal.open_dir ~dir () in
+  Cs_util.Wal.close wal;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  Alcotest.(check (list string)) "no journal record" [] recovery.Cs_util.Wal.records
+
 let test_gateway_failover_exactly_once () =
   (* 2 shards on loopback TCP, every job slowed so the batch is still in
      flight when one shard is SIGKILL-equivalently severed mid-batch:
@@ -1174,6 +1210,8 @@ let () =
         ] );
       ( "fleet",
         [
+          Alcotest.test_case "bad requests refused locally" `Slow
+            test_gateway_refuses_bad_requests_locally;
           Alcotest.test_case "cache hit/miss accounting" `Slow
             test_gateway_cache_accounting;
           Alcotest.test_case "mid-batch shard kill: exactly once" `Slow

@@ -164,6 +164,52 @@ let test_validate_region_live_in_home () =
   check_bool "rejects home 7 on 4 clusters" true
     (match Machine.validate_region (Vliw.create ()) region with Error _ -> true | Ok () -> false)
 
+(* --- Target: the one machine grammar --- *)
+
+(* One row per spelling: the input and the name of the machine it
+   parses to, or [None] where it must be rejected. *)
+let grammar_rows =
+  [ ("raw16", Some "raw-4x4");
+    ("RAW16", Some "raw-4x4");
+    (" raw16 ", Some "raw-4x4");
+    ("raw-4x4", Some "raw-4x4");
+    ("raw-2x8", Some "raw-2x8");
+    ("raw4", Some "raw-2x2");
+    ("Raw-1X2", Some "raw-1x2");
+    ("vliw", Some "vliw-4c");
+    ("vliw4", Some "vliw-4c");
+    ("vliw-4c", Some "vliw-4c");
+    ("VLIW-2C", Some "vliw-2c");
+    ("vliw1", Some "vliw-1c");
+    ("raw0", None);
+    ("raw-4", None);
+    ("raw-0x4", None);
+    ("raw-4x4x4", None);
+    ("vliw-0c", None);
+    ("vliw-4", None);
+    ("vliw0", None);
+    ("", None);
+    ("   ", None);
+    ("mesh16", None);
+    ("raw", None);
+    (* [int_of_string] reads these as 16; the grammar takes plain
+       decimal digits only *)
+    ("raw0x10", None);
+    ("raw+16", None);
+    ("raw1_6", None);
+    ("vliw-0x4c", None) ]
+
+let test_target_grammar () =
+  let parse s = Result.to_option (Target.of_name s) |> Option.map (fun m -> m.Machine.name) in
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check (option string)) (Printf.sprintf "%S" input) expected (parse input);
+      (* every machine's own name parses back to it *)
+      Option.iter
+        (fun name -> Alcotest.(check (option string)) (name ^ " round trip") expected (parse name))
+        expected)
+    grammar_rows
+
 let () =
   Alcotest.run "cs_machine"
     [
@@ -197,4 +243,5 @@ let () =
           Alcotest.test_case "validate preplacement" `Quick test_validate_region_preplacement;
           Alcotest.test_case "validate live-in home" `Quick test_validate_region_live_in_home;
         ] );
+      ("target", [ Alcotest.test_case "machine name grammar" `Quick test_target_grammar ]);
     ]

@@ -241,44 +241,104 @@ let test_ga_deadline_reports_budget_exhausted () =
 (* Sabotage every schedule so the oracle reliably produces findings. *)
 let break_schedule s = Cs_sched.Schedule.map_clusters (fun _ -> 0) s
 
+let journal_dir name =
+  tmp_path (Printf.sprintf "cs_svc_%s_%d" name (Unix.getpid ()))
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+let open_journal ?resume ?degraded ~dir seeds =
+  match Cs_check.Journal.open_dir ?resume ~dir ?degraded ~seeds () with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "journal did not open: %s" e
+
+let fuzz_run ?journal seeds =
+  Cs_check.Fuzz.run ~shrink:false ~transform:break_schedule ?journal ~seeds ()
+
+let sig_of f =
+  Printf.sprintf "%d/%s/%s" f.Cs_check.Fuzz.seed f.Cs_check.Fuzz.label
+    f.Cs_check.Fuzz.check
+
 let test_fuzz_journal_resume_identical () =
   let seeds = (0, 30) in
-  let path = tmp_path "cs_svc_fuzz_journal.json" in
-  let run journal =
-    Cs_check.Fuzz.run ~shrink:false ~transform:break_schedule ?journal ~seeds ()
-  in
-  let stats_fresh, found_fresh = run None in
+  let dir = journal_dir "fuzz_journal" in
+  let stats_fresh, found_fresh = fuzz_run seeds in
   Alcotest.(check bool) "transform produces findings" true (found_fresh <> []);
   (* First journaled run covers everything; resuming it replays the
      journal without re-searching and must reproduce the findings. *)
-  let j = Cs_check.Journal.create ~path ~seeds () in
-  let stats_j, found_j = run (Some j) in
+  let j = open_journal ~dir seeds in
+  let stats_j, found_j = fuzz_run ~journal:j seeds in
+  Cs_check.Journal.close j;
   Alcotest.(check int) "journaled run sees all cases" stats_fresh.Cs_check.Fuzz.cases
     stats_j.Cs_check.Fuzz.cases;
-  let resumed = Cs_check.Journal.resume ~path ~seeds () in
-  let stats_r, found_r = run (Some resumed) in
+  let resumed = open_journal ~resume:true ~dir seeds in
+  Alcotest.(check bool) "every seed journaled" true
+    (List.for_all (Cs_check.Journal.is_done resumed) (List.init 31 Fun.id));
+  let stats_r, found_r = fuzz_run ~journal:resumed seeds in
+  Cs_check.Journal.close resumed;
   Alcotest.(check int) "resumed covers all cases" stats_fresh.Cs_check.Fuzz.cases
     stats_r.Cs_check.Fuzz.cases;
   Alcotest.(check bool) "resumed run completed" true stats_r.Cs_check.Fuzz.completed;
-  let sig_of f =
-    Printf.sprintf "%d/%s/%s" f.Cs_check.Fuzz.seed f.Cs_check.Fuzz.label
-      f.Cs_check.Fuzz.check
-  in
   Alcotest.(check (list string)) "journaled findings identical"
     (List.map sig_of found_fresh) (List.map sig_of found_j);
   Alcotest.(check (list string)) "resumed findings identical"
     (List.map sig_of found_fresh) (List.map sig_of found_r);
-  Sys.remove path
+  remove_dir dir
 
 let test_fuzz_journal_mismatch_starts_fresh () =
-  let path = tmp_path "cs_svc_fuzz_journal2.json" in
-  let j = Cs_check.Journal.create ~path ~seeds:(0, 10) () in
+  let dir = journal_dir "fuzz_journal2" in
+  let j = open_journal ~dir (0, 10) in
   Cs_check.Journal.record j ~chunk:(0, 10) ~violations:[];
-  (* different seed range -> the old journal must not poison the run *)
-  let j' = Cs_check.Journal.resume ~path ~seeds:(0, 20) () in
+  Cs_check.Journal.close j;
+  let reopened = open_journal ~resume:true ~dir (0, 10) in
+  Alcotest.(check bool) "matching journal resumes" true
+    (Cs_check.Journal.is_done reopened 5);
+  Cs_check.Journal.close reopened;
+  (* different seed range or degraded flag -> the old journal must not
+     poison the run *)
+  let j' = open_journal ~resume:true ~degraded:true ~dir (0, 10) in
+  Alcotest.(check bool) "degraded mismatch discarded" false (Cs_check.Journal.is_done j' 5);
+  Cs_check.Journal.close j';
+  let j'' = open_journal ~resume:true ~dir (0, 20) in
   Alcotest.(check bool) "mismatched journal discarded" false
-    (Cs_check.Journal.is_done j' 5);
-  Sys.remove path
+    (Cs_check.Journal.is_done j'' 5);
+  Cs_check.Journal.close j'';
+  remove_dir dir
+
+(* A SIGKILL mid-append leaves the last chunk record torn: the resumed
+   run loses exactly that chunk, reruns it, and still matches an
+   uninterrupted run. Seeds 0..30 on one domain run in chunks of three,
+   so the last record is the chunk [30, 30]. *)
+let test_fuzz_journal_torn_tail () =
+  let seeds = (0, 30) in
+  let dir = journal_dir "fuzz_journal_torn" in
+  let _, found_fresh = fuzz_run seeds in
+  let j = open_journal ~dir seeds in
+  ignore (fuzz_run ~journal:j seeds);
+  Cs_check.Journal.close j;
+  let segment = Filename.concat dir "wal-000000.log" in
+  let size = (Unix.stat segment).Unix.st_size in
+  Unix.truncate segment (size - 2);
+  let resumed = open_journal ~resume:true ~dir seeds in
+  Alcotest.(check bool) "torn chunk lost" false (Cs_check.Journal.is_done resumed 30);
+  Alcotest.(check bool) "earlier chunks kept" true
+    (List.for_all (Cs_check.Journal.is_done resumed) (List.init 30 Fun.id));
+  let stats_r, found_r = fuzz_run ~journal:resumed seeds in
+  Cs_check.Journal.close resumed;
+  Alcotest.(check bool) "resumed run completed" true stats_r.Cs_check.Fuzz.completed;
+  Alcotest.(check (list string)) "findings identical after a torn tail"
+    (List.map sig_of found_fresh) (List.map sig_of found_r);
+  remove_dir dir
+
+let test_fuzz_journal_unusable_dir () =
+  let file = journal_dir "fuzz_journal_file" in
+  Out_channel.with_open_text file (fun oc -> output_string oc "not a directory\n");
+  (match Cs_check.Journal.open_dir ~dir:file ~seeds:(0, 3) () with
+  | Ok _ -> Alcotest.fail "a regular file cannot hold a journal"
+  | Error msg ->
+    Alcotest.(check bool) "error names the path" true (contains msg file));
+  Sys.remove file
 
 (* --- bounded queue ------------------------------------------------- *)
 
@@ -517,6 +577,36 @@ let test_job_schedules_with_deadline () =
     Alcotest.(check bool) "cycles positive" true (s.cycles > 0)
   | Cs_svc.Proto.Refused e ->
     Alcotest.failf "healthy job refused: %s %s" e.kind e.message
+
+(* Canonical keys as gateway caches and journals already on disk hold
+   them, so no key may move. Aliases of one machine share one key; the
+   raw-4x4 and vliw-4c rows are new spellings of existing keys. *)
+let key_rows =
+  let r = Cs_svc.Proto.request in
+  [ ("fir raw16", r ~machine:"raw16" "fir", "1c3661fa4cd2a6c2");
+    ("fir RAW16", r ~machine:"RAW16" "fir", "1c3661fa4cd2a6c2");
+    ("fir raw-4x4", r ~machine:"raw-4x4" "fir", "1c3661fa4cd2a6c2");
+    ("fir vliw", r ~machine:"vliw" "fir", "1aa5c706a7f7e083");
+    ("fir vliw4", r ~machine:"vliw4" "fir", "1aa5c706a7f7e083");
+    ("fir vliw-4c", r ~machine:"vliw-4c" "fir", "1aa5c706a7f7e083");
+    ("fir vliw4 seed 3", r ~machine:"vliw4" ~seed:3 "fir", "d03d0e79e3f514d9");
+    ("sha raw4 passes", r ~machine:"raw4" ~passes:"INITTIME,PLACE,COMM" "sha",
+     "a21b9bafeb386bad");
+    ("sha raw4 passes seed 7",
+     r ~machine:"raw4" ~passes:"INITTIME,PLACE,COMM" ~seed:7 "sha", "4162cbd3a750e69f");
+    ("mxm raw16 uas scale 2", r ~machine:"raw16" ~scheduler:"uas" ~scale:2 "mxm",
+     "55f887f9b2947da9");
+    ("jacobi vliw2 seed 0", r ~machine:"vliw2" ~seed:0 "jacobi", "03aa5b878987caed");
+    ("id and deadline do not enter",
+     r ~id:"x" ~deadline_ms:5.0 ~machine:"raw16" "fir", "1c3661fa4cd2a6c2") ]
+
+let test_job_keys_pinned () =
+  List.iter
+    (fun (row, req, expected) ->
+      match Cs_svc.Job.resolve req with
+      | Ok resolved -> Alcotest.(check string) row expected (Cs_svc.Job.key resolved)
+      | Error e -> Alcotest.failf "%s: %s" row (Cs_resil.Error.to_string e))
+    key_rows
 
 (* --- serve/submit loopback ----------------------------------------- *)
 
@@ -1149,6 +1239,10 @@ let () =
             test_fuzz_journal_resume_identical;
           Alcotest.test_case "fuzz journal mismatch fresh" `Quick
             test_fuzz_journal_mismatch_starts_fresh;
+          Alcotest.test_case "fuzz journal torn tail loses one chunk" `Slow
+            test_fuzz_journal_torn_tail;
+          Alcotest.test_case "fuzz journal unusable dir" `Quick
+            test_fuzz_journal_unusable_dir;
         ] );
       ( "queue",
         [
@@ -1175,6 +1269,7 @@ let () =
           Alcotest.test_case "typed refusals" `Quick test_job_refusals_are_typed;
           Alcotest.test_case "schedules under deadline" `Quick
             test_job_schedules_with_deadline;
+          Alcotest.test_case "canonical keys pinned" `Quick test_job_keys_pinned;
         ] );
       ( "server",
         [
